@@ -29,7 +29,9 @@ micro:
 # byte for byte (--domains 1 pins the single-domain deterministic path;
 # it is the default, spelled out here because multicore must never leak
 # into it). Wall-clock optimisations that leak into simulated time fail
-# here.
+# here. The paged-index runs use a pool far below heap plus index, so
+# their `buffer:` hit/miss/eviction line also pins the sequence of index
+# page accesses.
 determinism:
 	mkdir -p _obs
 	for e in si si-cv sias sias-v; do \
@@ -42,6 +44,10 @@ determinism:
 	      > _obs/run_$${e}_$${l}.txt 2>&1 || exit 1; \
 	    diff -u test/golden/run_$${e}_$${l}.txt _obs/run_$${e}_$${l}.txt || exit 1; \
 	  done; \
+	  echo "== $$e/paged =="; \
+	  dune exec bin/sias_cli.exe -- run -e $$e --index paged -w 2 -d 20 --buffer 128 \
+	    --domains 1 > _obs/run_$${e}_paged.txt 2>&1 || exit 1; \
+	  diff -u test/golden/run_$${e}_paged.txt _obs/run_$${e}_paged.txt || exit 1; \
 	done
 	@echo "determinism OK: default-seed outputs match test/golden"
 

@@ -1510,13 +1510,21 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   (* Flag filter: consume --full, --faults <seed>, --fault-profile <name>,
      --metrics-out <path>, --trace-out <path>; whatever remains names the
-     experiments to run. *)
+     experiments to run. A malformed value, an unknown flag or an unknown
+     experiment is fatal before anything runs. *)
   let fault_seed = ref None in
   let fault_profile = ref Flashsim.Faultdev.light in
   let metrics_out = ref None in
   let trace_out = ref None in
   let sync_commit = ref true in
   let commit_delay = ref 0.0 in
+  let usage fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline ("bench: " ^ msg);
+        exit 2)
+      fmt
+  in
   let rec filter = function
     | [] -> []
     | "--full" :: rest ->
@@ -1525,23 +1533,23 @@ let () =
     | "--commit-delay" :: s :: rest ->
         (match float_of_string_opt s with
         | Some d when d >= 0.0 -> commit_delay := d
-        | _ -> Printf.printf "--commit-delay needs a non-negative float, got %S\n" s);
+        | _ -> usage "--commit-delay needs a non-negative float, got %S" s);
         filter rest
     | "--synchronous-commit" :: s :: rest ->
         (match s with
         | "on" -> sync_commit := true
         | "off" -> sync_commit := false
-        | _ -> Printf.printf "--synchronous-commit needs on or off, got %S\n" s);
+        | _ -> usage "--synchronous-commit needs on or off, got %S" s);
         filter rest
     | "--faults" :: seed :: rest ->
         (match int_of_string_opt seed with
         | Some s -> fault_seed := Some s
-        | None -> Printf.printf "--faults needs an integer seed, got %S\n" seed);
+        | None -> usage "--faults needs an integer seed, got %S" seed);
         filter rest
     | "--fault-profile" :: name :: rest ->
         (match Flashsim.Faultdev.profile_of_string name with
         | Ok p -> fault_profile := p
-        | Error e -> Printf.printf "%s\n" e);
+        | Error e -> usage "%s" e);
         filter rest
     | "--metrics-out" :: path :: rest ->
         metrics_out := Some path;
@@ -1555,7 +1563,13 @@ let () =
     | "--trace-out" :: path :: rest ->
         trace_out := Some path;
         filter rest
-    | a :: rest -> a :: filter rest
+    | a :: _ when String.length a > 1 && a.[0] = '-' ->
+        usage "unknown flag, or a flag without its value: %S" a
+    | a :: rest ->
+        if a <> "all" && not (List.mem_assoc a experiments) then
+          usage "unknown experiment %S; available: %s" a
+            (String.concat ", " (List.map fst experiments));
+        a :: filter rest
   in
   let args = filter args in
   (match !fault_seed with
@@ -1578,15 +1592,14 @@ let () =
     Option.iter (fun p -> Printf.printf "metrics -> %s\n%!" p) !metrics_out;
     Option.iter (fun p -> Printf.printf "trace -> %s\n%!" p) !trace_out
   end;
-  let chosen = match args with [] | [ "all" ] -> List.map fst experiments | l -> l in
+  let chosen =
+    List.concat_map
+      (fun a -> if a = "all" then List.map fst experiments else [ a ])
+      (if args = [] then [ "all" ] else args)
+  in
   let t0 = Sias_util.Monotime.now () in
   List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-          Printf.printf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst experiments)))
+    (fun name -> List.assoc name experiments ())
     chosen;
   let wall_s = Sias_util.Monotime.elapsed_since t0 in
   Printf.printf "\n(total wall time %.1f s%s)\n" wall_s

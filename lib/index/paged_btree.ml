@@ -22,6 +22,11 @@
    Internal entries are (minimum pair, child) with leftmost fallback: a
    probe below every separator descends into the first child.
 
+   Slots are not kept in key order. Lookups, inserts and deletes search
+   a node in place — one pass over the slot directory of the pinned
+   page, reading fields straight from its buffer — and decode a sorted
+   entry list only to plan a split of a full node or a merge.
+
    WAL-first: every structural change is planned as a list of page
    deltas against the current byte state, logged as one atomic Ix_batch
    record through the injected [log], and only then applied to the pool
@@ -59,7 +64,9 @@ type t = {
 let leaf_cap = 300
 let internal_cap = 250
 
-let cmp_pair (k1, p1) (k2, p2) = if k1 <> k2 then compare k1 k2 else compare p1 p2
+let pair_lt (k1 : int) (p1 : int) k2 p2 = k1 < k2 || (k1 = k2 && p1 < p2)
+let cmp_pair ((k1 : int), (p1 : int)) (k2, p2) =
+  if k1 <> k2 then Int.compare k1 k2 else Int.compare p1 p2
 
 (* ---------------- item codecs ---------------- *)
 
@@ -104,13 +111,6 @@ let internal_item ~ref_key ~key ~payload ~child =
   Bytes.set_int32_le b (17 - s) (Int32.of_int child);
   b
 
-let decode_internal ~ref_key item =
-  let s = Bytes.get_uint8 item 0 in
-  let kb = be_key ref_key in
-  Bytes.blit item 1 kb s (8 - s);
-  let key = Int64.to_int (Bytes.get_int64_be kb 0) in
-  (key, i64 item (9 - s), Int32.to_int (Bytes.get_int32_le item (17 - s)))
-
 let meta_item ~root ~height ~nblocks =
   let b = Bytes.create 24 in
   Bytes.set_int64_le b 0 (Int64.of_int root);
@@ -118,7 +118,125 @@ let meta_item ~root ~height ~nblocks =
   Bytes.set_int64_le b 16 (Int64.of_int nblocks);
   b
 
-(* ---------------- decoded node view (transient; never cached) ---------------- *)
+(* ---------------- in-place node reads ---------------- *)
+
+(* Fields are read straight from the pinned page's buffer; [h] is the
+   header item's offset. A scan keeps the extremes it needs instead of
+   sorting. *)
+
+let header page =
+  let h = Page.item_offset page 0 in
+  if h < 0 then failwith "Paged_btree: missing node header";
+  h
+
+let is_leaf buf h = Bytes.get_uint8 buf h = 0
+let level_of buf h = Bytes.get_uint8 buf (h + 1)
+let right_of buf h = Int32.to_int (Bytes.get_int32_le buf (h + 4)) - 1
+
+let high_of buf h =
+  if Bytes.get_uint8 buf (h + 2) land 1 = 1 then Some (i64 buf (h + 8), i64 buf (h + 16))
+  else None
+
+let ref_key_of buf h = i64 buf (h + 24)
+let entry_count page = Page.live_count page - 1
+
+(* An internal key stores only the bytes after the prefix it shares with
+   the node's ref key: keep the ref key's top [s] bytes and take the rest
+   from the big-endian suffix. The 8-byte read at [off + 1] stays inside
+   the item, which is [21 - s] bytes long. *)
+let internal_key buf ~ref_key off =
+  let s = Bytes.get_uint8 buf off in
+  if s = 8 then ref_key
+  else
+    let suffix =
+      Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_be buf (off + 1)) (8 * s))
+    in
+    if s = 0 then suffix else ref_key land (-1 lsl (64 - (8 * s))) lor suffix
+
+let internal_payload buf off = i64 buf (off + 9 - Bytes.get_uint8 buf off)
+
+let internal_child buf off =
+  Int32.to_int (Bytes.get_int32_le buf (off + 17 - Bytes.get_uint8 buf off))
+
+let child_of page slot = internal_child (Page.buffer page) (Page.item_offset page slot)
+
+(* Internal node: the slot of the rightmost pair <= (key, payload), or of
+   the leftmost pair when the probe is below every separator. *)
+let route page h ~key ~payload =
+  let buf = Page.buffer page in
+  let ref_key = ref_key_of buf h in
+  let best = ref (-1) and bk = ref 0 and bp = ref 0 in
+  let low = ref (-1) and lk = ref 0 and lp = ref 0 in
+  for slot = 1 to Page.slot_count page - 1 do
+    let off = Page.item_offset page slot in
+    if off >= 0 then begin
+      let k = internal_key buf ~ref_key off and p = internal_payload buf off in
+      if not (pair_lt key payload k p) then begin
+        if !best < 0 || pair_lt !bk !bp k p then begin
+          best := slot;
+          bk := k;
+          bp := p
+        end
+      end
+      else if !best < 0 && (!low < 0 || pair_lt k p !lk !lp) then begin
+        low := slot;
+        lk := k;
+        lp := p
+      end
+    end
+  done;
+  if !best >= 0 then !best else !low
+
+(* Internal node: the child of the entry just below the one at [slot] in
+   key order, or -1 when that entry is the leftmost. *)
+let pred_child page h slot =
+  let buf = Page.buffer page in
+  let ref_key = ref_key_of buf h in
+  let off0 = Page.item_offset page slot in
+  let k0 = internal_key buf ~ref_key off0 and p0 = internal_payload buf off0 in
+  let best = ref (-1) and bk = ref 0 and bp = ref 0 in
+  for s = 1 to Page.slot_count page - 1 do
+    let off = Page.item_offset page s in
+    if off >= 0 then begin
+      let k = internal_key buf ~ref_key off and p = internal_payload buf off in
+      if pair_lt k p k0 p0 && (!best < 0 || pair_lt !bk !bp k p) then begin
+        best := off;
+        bk := k;
+        bp := p
+      end
+    end
+  done;
+  if !best < 0 then -1 else internal_child buf !best
+
+(* Leaf: the slot holding exactly (key, payload), or -1. *)
+let find_pair page ~key ~payload =
+  let buf = Page.buffer page in
+  let n = Page.slot_count page in
+  let found = ref (-1) and slot = ref 1 in
+  while !found < 0 && !slot < n do
+    let off = Page.item_offset page !slot in
+    if off >= 0 && i64 buf off = key && i64 buf (off + 8) = payload then found := !slot;
+    incr slot
+  done;
+  !found
+
+(* Pin each node once on the way down, routing (key, payload) in place,
+   and run [at_leaf] on the pinned leaf page. *)
+let rec to_leaf t block ~key ~payload at_leaf =
+  match
+    Bufpool.with_page t.pool ~rel:t.rel ~block (fun page ->
+        let h = header page in
+        if is_leaf (Page.buffer page) h then Either.Right (at_leaf page h)
+        else Either.Left (child_of page (route page h ~key ~payload)))
+  with
+  | Either.Left child -> to_leaf t child ~key ~payload at_leaf
+  | Either.Right r -> r
+
+(* ---------------- decoded node view (split and merge planning) ---------------- *)
+
+(* The full sorted entry list, built only where a plan needs every entry:
+   splitting a node that is already full, the left sibling of a merge,
+   and the leaf-chain walks of [restore] and [iter]. Never cached. *)
 
 type entry = { e_key : int; e_payload : int; e_child : int; e_slot : int }
 
@@ -132,63 +250,44 @@ type node = {
   nd_entries : entry array; (* sorted by (key, payload) *)
 }
 
+let cmp_entry a b =
+  if a.e_key <> b.e_key then Int.compare a.e_key b.e_key
+  else Int.compare a.e_payload b.e_payload
+
+let decode_page page block =
+  let buf = Page.buffer page and h = header page in
+  let leaf = is_leaf buf h and ref_key = ref_key_of buf h in
+  let acc = ref [] in
+  for slot = Page.slot_count page - 1 downto 1 do
+    let off = Page.item_offset page slot in
+    if off >= 0 then
+      acc :=
+        (if leaf then { e_key = i64 buf off; e_payload = i64 buf (off + 8); e_child = -1; e_slot = slot }
+         else
+           { e_key = internal_key buf ~ref_key off;
+             e_payload = internal_payload buf off;
+             e_child = internal_child buf off;
+             e_slot = slot })
+        :: !acc
+  done;
+  let entries = Array.of_list !acc in
+  Array.sort cmp_entry entries;
+  {
+    nd_block = block;
+    nd_leaf = leaf;
+    nd_level = level_of buf h;
+    nd_right = right_of buf h;
+    nd_high = high_of buf h;
+    nd_ref_key = ref_key;
+    nd_entries = entries;
+  }
+
 let decode_node t block =
-  Bufpool.with_page t.pool ~rel:t.rel ~block (fun page ->
-      match Page.read page 0 with
-      | None -> failwith "Paged_btree: missing node header"
-      | Some hdr ->
-          let leaf = Bytes.get_uint8 hdr 0 = 0 in
-          let ref_key = i64 hdr 24 in
-          let acc = ref [] in
-          Page.iter page (fun slot item ->
-              if slot <> 0 then
-                if leaf then
-                  acc :=
-                    { e_key = i64 item 0; e_payload = i64 item 8; e_child = -1; e_slot = slot }
-                    :: !acc
-                else begin
-                  let k, p, c = decode_internal ~ref_key item in
-                  acc := { e_key = k; e_payload = p; e_child = c; e_slot = slot } :: !acc
-                end);
-          let entries = Array.of_list !acc in
-          Array.sort
-            (fun a b -> cmp_pair (a.e_key, a.e_payload) (b.e_key, b.e_payload))
-            entries;
-          {
-            nd_block = block;
-            nd_leaf = leaf;
-            nd_level = Bytes.get_uint8 hdr 1;
-            nd_right = Int32.to_int (Bytes.get_int32_le hdr 4) - 1;
-            nd_high =
-              (if Bytes.get_uint8 hdr 2 land 1 = 1 then Some (i64 hdr 8, i64 hdr 16)
-               else None);
-            nd_ref_key = ref_key;
-            nd_entries = entries;
-          })
+  Bufpool.with_page t.pool ~rel:t.rel ~block (fun page -> decode_page page block)
 
 let node_header node ~right ~high =
   header_item ~leaf:node.nd_leaf ~level:node.nd_level ~right ~high
     ~ref_key:node.nd_ref_key
-
-(* Rightmost entry whose pair <= probe; leftmost fallback. *)
-let route node key payload =
-  let es = node.nd_entries in
-  let n = Array.length es in
-  let lo = ref 0 and hi = ref (n - 1) and best = ref 0 in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cmp_pair (es.(mid).e_key, es.(mid).e_payload) (key, payload) <= 0 then begin
-      best := mid;
-      lo := mid + 1
-    end
-    else hi := mid - 1
-  done;
-  !best
-
-let rec find_leaf t block key payload =
-  let node = decode_node t block in
-  if node.nd_leaf then node
-  else find_leaf t node.nd_entries.(route node key payload).e_child key payload
 
 (* ---------------- delta application ---------------- *)
 
@@ -305,119 +404,85 @@ let restore pool ~rel ~log ?bus () =
 
 exception Duplicate
 
+(* Split a full node around the median of its entry list plus [fresh]
+   (the entry being added, [e_slot = -1]). The separator is the right
+   node's first pair; in a leaf it stays in the leaf. Returns the
+   separator and the new right block for the parent to absorb. *)
+let plan_split deltas alloc splits node fresh =
+  let item ~ref_key e =
+    if node.nd_leaf then leaf_item ~key:e.e_key ~payload:e.e_payload
+    else internal_item ~ref_key ~key:e.e_key ~payload:e.e_payload ~child:e.e_child
+  in
+  let all = List.sort cmp_entry (Array.to_list node.nd_entries @ [ fresh ]) in
+  let m = List.length all / 2 in
+  let left, right = (List.filteri (fun i _ -> i < m) all, List.filteri (fun i _ -> i >= m) all) in
+  let sep = List.hd right in
+  let rb = alloc () in
+  let rd =
+    { d_block = rb; d_new = true;
+      d_op = Ins (header_item ~leaf:node.nd_leaf ~level:node.nd_level ~right:node.nd_right
+                    ~high:node.nd_high ~ref_key:sep.e_key) }
+    :: List.map
+         (fun e -> { d_block = rb; d_new = true; d_op = Ins (item ~ref_key:sep.e_key e) })
+         right
+  in
+  let on_left op = { d_block = node.nd_block; d_new = false; d_op = op } in
+  let ld =
+    (* slots of pre-existing entries that moved right *)
+    List.filter_map (fun e -> if e.e_slot >= 0 then Some (on_left (Del e.e_slot)) else None) right
+    @ (if List.exists (fun e -> e.e_slot = -1) left then
+         [ on_left (Ins (item ~ref_key:node.nd_ref_key fresh)) ]
+       else [])
+    @ [ on_left (Upd (0, node_header node ~right:rb ~high:(Some (sep.e_key, sep.e_payload)))) ]
+  in
+  deltas := List.rev_append rd (List.rev_append ld !deltas);
+  splits := (node.nd_level, rb) :: !splits;
+  Some (sep.e_key, sep.e_payload, rb)
+
 (* Plan the insert along one root-to-leaf path, splitting full nodes
-   bottom-up into the same batch. Returns [Some (sep_key, sep_payload,
-   right_block)] when the caller's level must absorb a new separator. *)
+   bottom-up into the same batch. Each node is pinned once and searched
+   in place; only a node already at capacity is decoded, for its split.
+   Returns [Some (sep_key, sep_payload, right_block)] when the caller's
+   level must absorb a new separator. *)
 let rec plan_insert t deltas alloc splits block ~key ~payload =
-  let node = decode_node t block in
-  if node.nd_leaf then begin
-    let exists =
-      Array.exists (fun e -> e.e_key = key && e.e_payload = payload) node.nd_entries
-    in
-    if exists then raise Duplicate;
-    if Array.length node.nd_entries < leaf_cap then begin
-      deltas :=
-        { d_block = block; d_new = false; d_op = Ins (leaf_item ~key ~payload) }
-        :: !deltas;
-      None
-    end
-    else begin
-      (* split around the median of the post-insert entry list; the
-         separator is the right node's first pair and stays in the leaf *)
-      let all =
-        Array.to_list node.nd_entries
-        @ [ { e_key = key; e_payload = payload; e_child = -1; e_slot = -1 } ]
-        |> List.sort (fun a b -> cmp_pair (a.e_key, a.e_payload) (b.e_key, b.e_payload))
-      in
-      let n = List.length all in
-      let m = n / 2 in
-      let left, right = (List.filteri (fun i _ -> i < m) all, List.filteri (fun i _ -> i >= m) all) in
-      let sep = List.hd right in
-      let rb = alloc () in
-      let rd =
-        { d_block = rb; d_new = true;
-          d_op = Ins (header_item ~leaf:true ~level:0 ~right:node.nd_right
-                        ~high:node.nd_high ~ref_key:sep.e_key) }
-        :: List.map
-             (fun e ->
-               { d_block = rb; d_new = true;
-                 d_op = Ins (leaf_item ~key:e.e_key ~payload:e.e_payload) })
-             right
-      in
-      let ld =
-        (* slots of pre-existing entries that moved right *)
-        List.filter_map
-          (fun e -> if e.e_slot >= 0 then Some { d_block = block; d_new = false; d_op = Del e.e_slot } else None)
-          right
-        @ (if List.exists (fun e -> e.e_slot = -1) left then
-             [ { d_block = block; d_new = false; d_op = Ins (leaf_item ~key ~payload) } ]
-           else [])
-        @ [ { d_block = block; d_new = false;
-              d_op = Upd (0, node_header node ~right:rb ~high:(Some (sep.e_key, sep.e_payload))) } ]
-      in
-      deltas := List.rev_append rd (List.rev_append ld !deltas);
-      splits := (node.nd_level, rb) :: !splits;
-      Some (sep.e_key, sep.e_payload, rb)
-    end
+  let leaf, hit, ref_key, full =
+    Bufpool.with_page t.pool ~rel:t.rel ~block (fun page ->
+        let h = header page and buf = Page.buffer page in
+        let leaf = is_leaf buf h in
+        (* leaf: the slot of an equal pair; internal: the routed child *)
+        let hit =
+          if leaf then find_pair page ~key ~payload else child_of page (route page h ~key ~payload)
+        in
+        let cap = if leaf then leaf_cap else internal_cap in
+        ( leaf,
+          hit,
+          ref_key_of buf h,
+          if entry_count page < cap then None else Some (decode_page page block) ))
+  in
+  if leaf then begin
+    if hit >= 0 then raise Duplicate;
+    match full with
+    | None ->
+        deltas := { d_block = block; d_new = false; d_op = Ins (leaf_item ~key ~payload) } :: !deltas;
+        None
+    | Some node ->
+        plan_split deltas alloc splits node
+          { e_key = key; e_payload = payload; e_child = -1; e_slot = -1 }
   end
-  else begin
-    let i = route node key payload in
-    match plan_insert t deltas alloc splits node.nd_entries.(i).e_child ~key ~payload with
+  else
+    match plan_insert t deltas alloc splits hit ~key ~payload with
     | None -> None
-    | Some (sk, sp, child) ->
-        if Array.length node.nd_entries < internal_cap then begin
-          deltas :=
-            { d_block = block; d_new = false;
-              d_op = Ins (internal_item ~ref_key:node.nd_ref_key ~key:sk ~payload:sp ~child) }
-            :: !deltas;
-          None
-        end
-        else begin
-          let all =
-            Array.to_list node.nd_entries
-            @ [ { e_key = sk; e_payload = sp; e_child = child; e_slot = -1 } ]
-            |> List.sort (fun a b ->
-                   cmp_pair (a.e_key, a.e_payload) (b.e_key, b.e_payload))
-          in
-          let n = List.length all in
-          let m = n / 2 in
-          let left, right =
-            (List.filteri (fun i _ -> i < m) all, List.filteri (fun i _ -> i >= m) all)
-          in
-          let sep = List.hd right in
-          let rb = alloc () in
-          let rd =
-            { d_block = rb; d_new = true;
-              d_op = Ins (header_item ~leaf:false ~level:node.nd_level
-                            ~right:node.nd_right ~high:node.nd_high ~ref_key:sep.e_key) }
-            :: List.map
-                 (fun e ->
-                   { d_block = rb; d_new = true;
-                     d_op = Ins (internal_item ~ref_key:sep.e_key ~key:e.e_key
-                                   ~payload:e.e_payload ~child:e.e_child) })
-                 right
-          in
-          let ld =
-            List.filter_map
-              (fun e ->
-                if e.e_slot >= 0 then
-                  Some { d_block = block; d_new = false; d_op = Del e.e_slot }
-                else None)
-              right
-            @ (if List.exists (fun e -> e.e_slot = -1) left then
-                 [ { d_block = block; d_new = false;
-                     d_op = Ins (internal_item ~ref_key:node.nd_ref_key ~key:sk
-                                   ~payload:sp ~child) } ]
-               else [])
-            @ [ { d_block = block; d_new = false;
-                  d_op = Upd (0, node_header node ~right:rb
-                                   ~high:(Some (sep.e_key, sep.e_payload))) } ]
-          in
-          deltas := List.rev_append rd (List.rev_append ld !deltas);
-          splits := (node.nd_level, rb) :: !splits;
-          Some (sep.e_key, sep.e_payload, rb)
-        end
-  end
+    | Some (sk, sp, child) -> (
+        match full with
+        | None ->
+            deltas :=
+              { d_block = block; d_new = false;
+                d_op = Ins (internal_item ~ref_key ~key:sk ~payload:sp ~child) }
+              :: !deltas;
+            None
+        | Some node ->
+            plan_split deltas alloc splits node
+              { e_key = sk; e_payload = sp; e_child = child; e_slot = -1 })
 
 let insert t ~key ~payload =
   let deltas = ref [] in
@@ -475,59 +540,65 @@ let insert t ~key ~payload =
 (* ---------------- delete ---------------- *)
 
 let delete t ~key ~payload =
-  (* descend with the exact pair, remembering the parent for the merge *)
-  let rec descend block parent =
-    let node = decode_node t block in
-    if node.nd_leaf then (node, parent)
-    else
-      let i = route node key payload in
-      descend node.nd_entries.(i).e_child (Some (node, i))
+  (* descend with the exact pair; at the leaf's parent (level 1) remember
+     the routed slot, its left neighbour's child and the entry count,
+     which the merge and the root collapse need *)
+  let parent = ref None in
+  let rec descend block =
+    match
+      Bufpool.with_page t.pool ~rel:t.rel ~block (fun page ->
+          let h = header page and buf = Page.buffer page in
+          if is_leaf buf h then
+            Either.Right (find_pair page ~key ~payload, entry_count page, right_of buf h, high_of buf h)
+          else begin
+            let slot = route page h ~key ~payload in
+            if level_of buf h = 1 then
+              parent := Some (block, slot, pred_child page h slot, entry_count page);
+            Either.Left (child_of page slot)
+          end)
+    with
+    | Either.Left child -> descend child
+    | Either.Right found -> (block, found)
   in
-  let leaf, parent = descend t.root None in
-  match
-    Array.find_opt (fun e -> e.e_key = key && e.e_payload = payload) leaf.nd_entries
-  with
-  | None -> false
-  | Some e ->
-      let deltas = ref [ { d_block = leaf.nd_block; d_new = false; d_op = Del e.e_slot } ] in
-      let merged = ref None in
-      (match parent with
-      | Some (p, i) when Array.length leaf.nd_entries = 1 && i > 0 ->
-          (* the leaf empties and has a left sibling under the same
-             parent: absorb its right link and high key into the left
-             sibling, drop the parent separator, and let the empty page
-             leak (a right-link orphan, skipped by every traversal) *)
-          let lb = decode_node t p.nd_entries.(i - 1).e_child in
+  let leaf_block, (slot, count, right, high) = descend t.root in
+  if slot < 0 then false
+  else begin
+    let deltas = ref [ { d_block = leaf_block; d_new = false; d_op = Del slot } ] in
+    let merged = ref false in
+    (match !parent with
+    | Some (pblock, pslot, left, pcount) when count = 1 && left >= 0 ->
+        (* the leaf empties and has a left sibling under the same
+           parent: absorb its right link and high key into the left
+           sibling, drop the parent separator, and let the empty page
+           leak (a right-link orphan, skipped by every traversal) *)
+        let lb = decode_node t left in
+        deltas :=
+          { d_block = pblock; d_new = false; d_op = Del pslot }
+          :: { d_block = lb.nd_block; d_new = false;
+               d_op = Upd (0, node_header lb ~right ~high) }
+          :: !deltas;
+        merged := true;
+        if pblock = t.root && pcount = 2 && t.height >= 2 then begin
+          (* the root would keep a single separator: collapse it onto
+             the surviving child *)
           deltas :=
-            { d_block = p.nd_block; d_new = false; d_op = Del p.nd_entries.(i).e_slot }
-            :: { d_block = lb.nd_block; d_new = false;
-                 d_op = Upd (0, node_header lb ~right:leaf.nd_right ~high:leaf.nd_high) }
+            { d_block = 0; d_new = false;
+              d_op = Upd (0, meta_item ~root:left ~height:(t.height - 1) ~nblocks:t.nblocks) }
             :: !deltas;
-          merged := Some leaf.nd_level;
-          if p.nd_block = t.root && Array.length p.nd_entries = 2 && t.height >= 2
-          then begin
-            (* the root would keep a single separator: collapse it onto
-               the surviving child *)
-            let child = p.nd_entries.(0).e_child in
-            deltas :=
-              { d_block = 0; d_new = false;
-                d_op = Upd (0, meta_item ~root:child ~height:(t.height - 1)
-                              ~nblocks:t.nblocks) }
-              :: !deltas;
-            merged := Some leaf.nd_level;
-            t.root <- child;
-            t.height <- t.height - 1
-          end
-      | _ -> ());
-      run_batch t (List.rev !deltas);
-      t.entries <- t.entries - 1;
-      t.deletes <- t.deletes + 1;
-      (match !merged with
-      | Some level ->
-          t.merges <- t.merges + 1;
-          if observed t then emit t (Bus.Index_merge { rel = t.rel; level })
-      | None -> ());
-      true
+          t.root <- left;
+          t.height <- t.height - 1
+        end
+    | _ -> ());
+    run_batch t (List.rev !deltas);
+    t.entries <- t.entries - 1;
+    t.deletes <- t.deletes + 1;
+    if !merged then begin
+      t.merges <- t.merges + 1;
+      (* the emptied node is always a leaf *)
+      if observed t then emit t (Bus.Index_merge { rel = t.rel; level = 0 })
+    end;
+    true
+  end
 
 (* ---------------- reads ---------------- *)
 
@@ -536,24 +607,33 @@ let range t ~lo ~hi =
   if lo > hi then []
   else begin
     let acc = ref [] in
-    let rec walk node =
-      let beyond = ref false in
-      Array.iter
-        (fun e ->
-          if e.e_key > hi then beyond := true
-          else if e.e_key >= lo then acc := (e.e_key, e.e_payload) :: !acc)
-        node.nd_entries;
-      if (not !beyond) && node.nd_right >= 0 then walk (decode_node t node.nd_right)
+    (* add a leaf's in-range pairs, sorting only those; return the right
+       sibling to continue with, or -1 once a key above [hi] showed up *)
+    let gather page h =
+      let buf = Page.buffer page in
+      let hits = ref [] and beyond = ref false in
+      for slot = 1 to Page.slot_count page - 1 do
+        let off = Page.item_offset page slot in
+        if off >= 0 then begin
+          let k = i64 buf off in
+          if k > hi then beyond := true
+          else if k >= lo then hits := (k, i64 buf (off + 8)) :: !hits
+        end
+      done;
+      acc := List.rev_append (List.sort cmp_pair !hits) !acc;
+      if !beyond then -1 else right_of buf h
     in
-    walk (find_leaf t t.root lo min_int);
+    let next = ref (to_leaf t t.root ~key:lo ~payload:min_int gather) in
+    while !next >= 0 do
+      next := Bufpool.with_page t.pool ~rel:t.rel ~block:!next (fun page -> gather page (header page))
+    done;
     List.rev !acc
   end
 
 let lookup t ~key = List.map snd (range t ~lo:key ~hi:key)
 
 let mem t ~key ~payload =
-  let leaf = find_leaf t t.root key payload in
-  Array.exists (fun e -> e.e_key = key && e.e_payload = payload) leaf.nd_entries
+  to_leaf t t.root ~key ~payload (fun page _ -> find_pair page ~key ~payload >= 0)
 
 let iter t f =
   let rec walk node =

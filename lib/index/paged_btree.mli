@@ -9,11 +9,14 @@
     parent pointers), prefix-truncated keys in internal nodes, and
     {e every} structural change — insert, split, delete, merge — logged
     write-ahead as an atomic batch of per-page slot deltas and replayed
-    byte-exact by recovery. Nodes are decoded from their buffer-pool
-    page on every access: under buffer pressure index descents incur
-    real page misses, evictions and device reads, which is the point —
-    index maintenance and lookup traffic become first-class flash
-    measurements.
+    byte-exact by recovery. Every access goes through the buffer pool:
+    under buffer pressure index descents incur real page misses,
+    evictions and device reads, which is the point — index maintenance
+    and lookup traffic become first-class flash measurements. Nodes are
+    searched in place in the pinned page, one scan of the slot directory
+    per visit with no copy, decode or sort; a node is decoded into a
+    sorted entry list only to plan a split (when it is already full) or
+    a merge (the left sibling), and by {!restore} and {!iter}.
 
     Layering: this library cannot see the WAL or {!Mvcc.Db}, so the
     logger is injected — [log deltas] must append one atomic record

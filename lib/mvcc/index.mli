@@ -8,9 +8,10 @@
       cache, no WAL logging; recovery discards the tree and rebuilds it
       from the heap. The historical behavior, byte-identical to every
       golden output, and the determinism oracle for the paged path.
-    - [`Paged] — {!Sias_index.Paged_btree}: slotted pages, decoded on
-      every access, every structural change WAL-logged; recovery
-      replays the pages in place and never touches the heap.
+    - [`Paged] — {!Sias_index.Paged_btree}: slotted pages searched in
+      place on every access (decoded only to plan splits and merges),
+      every structural change WAL-logged; recovery replays the pages in
+      place and never touches the heap.
 
     The packing is a first-class module plus its value, so engine code
     is written once against {!module-type-S}. *)

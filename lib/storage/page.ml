@@ -72,6 +72,8 @@ let is_live t i =
   i >= 0 && i < nslots t && slot_off t i <> unused_off && slot_len t i <> dead_len
 
 let read t i = if is_live t i then Some (Bytes.sub t.buf (slot_off t i) (slot_len t i)) else None
+let item_offset t i = if is_live t i then slot_off t i else -1
+let buffer t = t.buf
 
 let live_bytes t =
   let total = ref 0 in

@@ -25,6 +25,15 @@ val read : t -> int -> bytes option
 (** Item bytes of a live slot; [None] for dead, unused or out-of-range
     slots. The returned bytes are a copy. *)
 
+val item_offset : t -> int -> int
+(** Byte offset of a live slot's item within {!buffer}; [-1] for dead,
+    unused or out-of-range slots. *)
+
+val buffer : t -> bytes
+(** The page's own byte buffer, not a copy: a read-only view for
+    in-place item decoding. Callers must not mutate it, and must not use
+    it past the pin that produced the page. *)
+
 val update : t -> int -> bytes -> bool
 (** [update p slot item] overwrites the item in place when the new value
     is not longer than the currently stored one (the slot keeps its

@@ -1,7 +1,6 @@
-(* Tests for the disk-backed B+ tree and the hash index. *)
+(* Tests for the disk-backed B+ tree. *)
 
 module Btree = Sias_index.Btree
-module Hashindex = Sias_index.Hashindex
 module Bufpool = Sias_storage.Bufpool
 module Device = Flashsim.Device
 module Simclock = Sias_util.Simclock
@@ -143,19 +142,6 @@ let qcheck_btree_model =
       Btree.iter t (fun k p -> actual := (k, p) :: !actual);
       List.rev !actual = expected)
 
-let test_hashindex () =
-  let h = Hashindex.create () in
-  Hashindex.insert h ~key:1 ~payload:10;
-  Hashindex.insert h ~key:1 ~payload:11;
-  Hashindex.insert h ~key:1 ~payload:10;
-  check_list "dup keys" [ 10; 11 ] (Hashindex.lookup h ~key:1);
-  checki "entries" 2 (Hashindex.entry_count h);
-  check "mem" true (Hashindex.mem h ~key:1 ~payload:11);
-  check "delete" true (Hashindex.delete h ~key:1 ~payload:10);
-  check "delete absent" false (Hashindex.delete h ~key:1 ~payload:10);
-  check_list "after delete" [ 11 ] (Hashindex.lookup h ~key:1);
-  check_list "missing key" [] (Hashindex.lookup h ~key:99)
-
 let suite =
   [
     Alcotest.test_case "insert/lookup" `Quick test_insert_lookup;
@@ -167,5 +153,4 @@ let suite =
     Alcotest.test_case "survives buffer pressure" `Quick test_survives_buffer_pressure;
     Alcotest.test_case "node writes traced" `Quick test_node_writes_traced;
     QCheck_alcotest.to_alcotest qcheck_btree_model;
-    Alcotest.test_case "hash index" `Quick test_hashindex;
   ]

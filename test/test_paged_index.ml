@@ -277,6 +277,191 @@ let qcheck_paged_model =
       && Pbt.range t' ~lo:10 ~hi:60 = range_expected 10 60
       && Pbt.entry_count t' = List.length expected)
 
+(* ---------------- multi-level trees ---------------- *)
+
+(* Keys in nine classes by how many leading big-endian bytes they share
+   with min_int, the root's ref key: class s in 1..7 varies byte s and
+   the bytes below it (class 7 includes min_int + 1), class 8 is min_int
+   itself (rare: the root's leftmost sentinel has that length anyway),
+   and class 0 is everything else — small negative and positive keys,
+   max_int, keys differing only in the top byte and keys differing only
+   in the low byte. Classes 0..7 draw equally often, so at 4k operations
+   leaf splits usually land inside each of them; the seeded test below
+   checks that every truncation length 0..8 then reaches the root. *)
+let multilevel_key rng =
+  let bits () = Int64.to_int (Rng.int64 rng) land max_int in
+  match Rng.int rng 33 with
+  | 32 -> min_int
+  | c when c >= 4 ->
+      let shift = 8 * (7 - (1 + ((c - 4) / 4))) in
+      min_int + ((1 + Rng.int rng 255) lsl shift) + (bits () land ((1 lsl shift) - 1))
+  | 0 -> Rng.int rng 2001 - 1000
+  | 1 -> max_int - Rng.int rng 64
+  | 2 -> (Rng.int rng 64 lsl 56) lor 0x5A5A
+  | _ -> 0x0123_4567_89AB_CD00 + Rng.int rng 256
+
+(* [n] operations — 80% fresh inserts, 10% deletes and 10% payload moves
+   of present pairs — applied to the tree and to a (key, payload) model. *)
+let build_multilevel t rng n =
+  let model = Hashtbl.create 4096 in
+  let live = Array.make n (0, 0) and nlive = ref 0 in
+  let add kp =
+    Pbt.insert t ~key:(fst kp) ~payload:(snd kp);
+    if not (Hashtbl.mem model kp) then begin
+      Hashtbl.replace model kp ();
+      live.(!nlive) <- kp;
+      incr nlive
+    end
+  in
+  let take () =
+    let i = Rng.int rng !nlive in
+    let kp = live.(i) in
+    decr nlive;
+    live.(i) <- live.(!nlive);
+    if not (Pbt.delete t ~key:(fst kp) ~payload:(snd kp)) then failwith "present pair not deleted";
+    Hashtbl.remove model kp;
+    kp
+  in
+  for _ = 1 to n do
+    match Rng.int rng 20 with
+    | r when r < 16 || !nlive = 0 -> add (multilevel_key rng, Rng.int rng 4)
+    | r when r < 18 -> ignore (take ())
+    | _ ->
+        let k, p = take () in
+        add (k, p + 1)
+  done;
+  Hashtbl.fold (fun kp () acc -> kp :: acc) model [] |> List.sort compare
+
+(* Random lookup, mem and range probes — at present keys, at generated
+   keys that are mostly absent, and over spans up to the full key space —
+   against the sorted model. *)
+let probes_agree t rng expected =
+  let present = Array.of_list expected in
+  let in_range lo hi = List.filter (fun (k, _) -> k >= lo && k <= hi) expected in
+  let ok = ref (entries t = expected && Pbt.range t ~lo:min_int ~hi:max_int = expected) in
+  for _ = 1 to 300 do
+    let k, p =
+      if Array.length present > 0 && Rng.bool rng then Rng.choice rng present
+      else (multilevel_key rng, Rng.int rng 5)
+    in
+    let hi =
+      match Rng.int rng 3 with
+      | 0 -> k
+      | 1 -> k + Rng.int rng 1_000
+      | _ -> if k > max_int / 2 then max_int else k + (max_int / 4)
+    in
+    let payloads = List.map snd (in_range k k) in
+    ok :=
+      !ok
+      && Pbt.lookup t ~key:k = payloads
+      && Pbt.mem t ~key:k ~payload:p = List.mem p payloads
+      && Pbt.range t ~lo:k ~hi = in_range k hi
+  done;
+  !ok
+
+(* Separator prefix lengths on the root page, read straight from the
+   buffer pool: block 0's item holds the root block, and every entry of
+   an internal node starts with its shared-byte count. *)
+let root_prefix_lengths db rel =
+  let pool = db.Db.pool in
+  let read block slot = Bufpool.with_page_ro pool ~rel ~block (fun p -> Page.read p slot) in
+  let root = Int64.to_int (Bytes.get_int64_le (Option.get (read 0 0)) 0) in
+  Bufpool.with_page_ro pool ~rel ~block:root (fun p ->
+      let acc = ref [] in
+      Page.iter p (fun slot item ->
+          if slot <> 0 then acc := Bytes.get_uint8 item 0 :: !acc);
+      List.sort_uniq compare !acc)
+
+let test_multilevel_prefix_lengths () =
+  let db, rel, t = mk () in
+  let rng = Rng.create 42 in
+  let expected = build_multilevel t rng 4_000 in
+  checki "two levels" 2 (Pbt.height t);
+  check_list "every truncation length at the root" [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ]
+    (root_prefix_lengths db rel);
+  checki "entry count" (List.length expected) (Pbt.entry_count t);
+  check "probes match the model" true (probes_agree t rng expected)
+
+let qcheck_multilevel_model =
+  QCheck.Test.make ~name:"multi-level paged btree equals sorted model across a crash"
+    ~count:12
+    QCheck.(pair small_nat (int_range 1_500 4_000))
+    (fun (seed, n) ->
+      let db, rel, t = mk () in
+      let rng = Rng.create seed in
+      let expected = build_multilevel t rng n in
+      let live_ok = Pbt.height t >= 2 && probes_agree t rng expected in
+      Wal.flush db.Db.wal ~sync:true;
+      Db.crash db;
+      Walcodec.redo db ~since_lsn:0;
+      let t' = Walcodec.restore_index db ~rel in
+      live_ok
+      && Pbt.height t' = Pbt.height t
+      && Pbt.entry_count t' = List.length expected
+      && probes_agree t' rng expected)
+
+(* Past 250 leaves the root splits, so the level-1 nodes to its right
+   route against ref keys that are real separators rather than min_int:
+   rebuilding a truncated key must take the ref key's own high bytes.
+   Ascending inserts leave leaves half full, reaching three levels at
+   ~38k entries; the keys cross zero, so some separators share no byte
+   with their node's ref key. *)
+let test_three_levels () =
+  let _, _, t = mk ~buffer_pages:1024 () in
+  let key i = -(1 lsl 34) + (i * 1_048_577) in
+  let n = 40_000 in
+  for i = 0 to n - 1 do
+    Pbt.insert t ~key:(key i) ~payload:(i land 3)
+  done;
+  checki "three levels" 3 (Pbt.height t);
+  let expected = List.init n (fun i -> (key i, i land 3)) in
+  check "probes match the model" true (probes_agree t (Rng.create 5) expected);
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    if not (Pbt.mem t ~key:(key i) ~payload:(i land 3)) then ok := false
+  done;
+  check "every entry found" true !ok
+
+(* Sequential inserts leave keys 1..150 in the leftmost leaf and 150
+   keys in each leaf after it. Emptying a middle leaf merges it into its
+   left neighbour, never into the leftmost leaf; then deleting from the
+   top down empties each remaining leaf to the right in turn, and
+   emptying the second leaf collapses the root onto the first. *)
+let test_drain_collapses_root () =
+  let db, rel, t = mk () in
+  for k = 1 to 1_200 do
+    Pbt.insert t ~key:k ~payload:(k * 3)
+  done;
+  checki "two levels" 2 (Pbt.height t);
+  let splits = (Pbt.stats t).Pbt.splits in
+  check "several leaves" true (splits >= 4);
+  let pairs lo hi = List.init (hi - lo + 1) (fun i -> (lo + i, (lo + i) * 3)) in
+  for k = 301 to 450 do
+    check "delete" true (Pbt.delete t ~key:k ~payload:(k * 3))
+  done;
+  checki "middle leaf merged" 1 (Pbt.stats t).Pbt.merges;
+  check "chain intact around the gap" true (entries t = pairs 1 300 @ pairs 451 1_200);
+  check "range across the gap" true (Pbt.range t ~lo:290 ~hi:460 = pairs 290 300 @ pairs 451 460);
+  for k = 1_200 downto 151 do
+    if k < 301 || k > 450 then check "delete" true (Pbt.delete t ~key:k ~payload:(k * 3))
+  done;
+  checki "one merge per emptied leaf" splits (Pbt.stats t).Pbt.merges;
+  checki "root collapsed" 1 (Pbt.height t);
+  checki "survivors" 150 (Pbt.entry_count t);
+  let survivors = pairs 1 150 in
+  check "surviving entries" true (entries t = survivors);
+  check "range over survivors" true (Pbt.range t ~lo:100 ~hi:2_000 = pairs 100 150);
+  check_list "drained key gone" [] (Pbt.lookup t ~key:151);
+  check "survivor mem" true (Pbt.mem t ~key:150 ~payload:450);
+  Wal.flush db.Db.wal ~sync:true;
+  Db.crash db;
+  Walcodec.redo db ~since_lsn:0;
+  let t' = Walcodec.restore_index db ~rel in
+  checki "collapse survives recovery" 1 (Pbt.height t');
+  check "recovered survivors" true (entries t' = survivors);
+  Pbt.insert t' ~key:500 ~payload:1;
+  check_list "usable after collapse" [ 1 ] (Pbt.lookup t' ~key:500)
+
 (* ---------------- array-vs-paged engine equivalence ---------------- *)
 
 (* The same deterministic workload through the same engine on the two
@@ -368,6 +553,13 @@ let suite =
     Alcotest.test_case "index crash points recover to flushed prefix" `Quick
       test_crash_points;
     QCheck_alcotest.to_alcotest qcheck_paged_model;
+    Alcotest.test_case "multi-level: every prefix length, model probes" `Quick
+      test_multilevel_prefix_lengths;
+    QCheck_alcotest.to_alcotest qcheck_multilevel_model;
+    Alcotest.test_case "three levels: routing against real ref keys" `Quick
+      test_three_levels;
+    Alcotest.test_case "drain two levels until the root collapses" `Quick
+      test_drain_collapses_root;
     Alcotest.test_case "si: array vs paged equivalence" `Quick (engine_equiv "si");
     Alcotest.test_case "si-cv: array vs paged equivalence" `Quick
       (engine_equiv "si-cv");

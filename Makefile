@@ -2,6 +2,9 @@
 
 .PHONY: all build test check bench micro determinism multicore demo contention obs groupcommit repl isolation chaos index clean
 
+# Every registered engine; the per-engine smoke targets loop over it.
+ENGINES := si si-cv sias sias-v
+
 all: build
 
 build:
@@ -34,7 +37,7 @@ micro:
 # page accesses.
 determinism:
 	mkdir -p _obs
-	for e in si si-cv sias sias-v; do \
+	for e in $(ENGINES); do \
 	  echo "== $$e =="; \
 	  dune exec bin/sias_cli.exe -- run -e $$e --domains 1 > _obs/run_$$e.txt 2>&1 || exit 1; \
 	  diff -u test/golden/run_$$e.txt _obs/run_$$e.txt || exit 1; \
@@ -69,7 +72,7 @@ demo:
 # High-contention TPC-C smoke: every engine under deadlock detection with
 # client retries and the online SI checker (non-zero exit on violation).
 contention:
-	for e in si si-cv sias sias-v; do \
+	for e in $(ENGINES); do \
 	  echo "== $$e =="; \
 	  dune exec bin/sias_cli.exe -- run -e $$e -w 1 -d 10 --scale-div 300 \
 	    --terminals 8 --conflict-policy detect --retries 5 --check-si || exit 1; \
@@ -101,7 +104,7 @@ groupcommit:
 # ablation with a machine-readable artifact.
 repl:
 	mkdir -p _obs
-	for e in si si-cv sias sias-v; do \
+	for e in $(ENGINES); do \
 	  echo "== failover $$e =="; \
 	  dune exec examples/failover_demo.exe -- $$e || exit 1; \
 	done
@@ -142,7 +145,7 @@ chaos:
 # vs heap device writes under buffer pressure).
 index:
 	mkdir -p _obs
-	for e in si si-cv sias sias-v; do \
+	for e in $(ENGINES); do \
 	  echo "== $$e/paged =="; \
 	  dune exec bin/sias_cli.exe -- run -e $$e --index paged -w 4 -d 10 \
 	    --scale-div 300 --buffer 256 --check-si || exit 1; \

@@ -1,4 +1,4 @@
-include Si_core.Make (struct
+include Engine_skeleton.Make (In_place.Make (struct
   let name = "SI-CV"
   let placement = Sias_storage.Heapfile.Txn_colocated
-end)
+end))

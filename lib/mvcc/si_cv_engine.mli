@@ -8,6 +8,3 @@
     versions' pages are still updated in place). *)
 
 include Engine.S
-
-val vacuum_stats : t -> int * int
-(** (dead versions removed, pages scanned) by all {!gc} runs so far. *)

@@ -10,6 +10,3 @@
     Figure 4 and the write volumes of Table 1's SI column. *)
 
 include Engine.S
-
-val vacuum_stats : t -> int * int
-(** (dead versions removed, pages scanned) by all {!gc} runs so far. *)

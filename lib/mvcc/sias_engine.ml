@@ -1,26 +1,6 @@
-module Tid = Sias_storage.Tid
-module Heapfile = Sias_storage.Heapfile
-module Bufpool = Sias_storage.Bufpool
-module Btree = Sias_index.Btree
-module Txn = Sias_txn.Txn
-module Contention = Sias_txn.Contention
-module Wal = Sias_wal.Wal
+include Engine_skeleton.Make (Chain)
 
-let name = "SIAS-Chains"
-
-type table = {
-  tname : string;
-  rel : int;
-  mutable heap : Heapfile.t;
-  pk_col : int;
-  mutable vidmap : Vidmap.t;
-  mutable pk_index : Index.t; (* key = pk, payload = vid *)
-  mutable secondary : (int * Index.t) array; (* key = column value, payload = vid *)
-}
-
-(* Per-transaction undo: restores the VID_map on abort. [old_entry = None]
-   means the VID was freshly allocated by this transaction. *)
-type undo = { u_table : table; u_vid : int; u_old : Tid.t option; u_pk : int option }
+let scan_traditional = Chain.scan_traditional
 
 type gc_stats = {
   pruned_versions : int;
@@ -28,726 +8,11 @@ type gc_stats = {
   reclaimed_pages : int;
 }
 
-type t = {
-  db : Db.t;
-  mutable tables : table list;
-  undo : (int, undo list ref) Hashtbl.t;
-  cmd_seq : (int, int ref) Hashtbl.t;
-  mutable pruned : int;
-  mutable relocated : int;
-  mutable reclaimed : int;
-  mutable walks : int;
-  mutable visited : int;
-  track : bool;
-      (* serializability tracking on (isolation <> `Si); cached so the
-         chain walk pays one local branch and SI stays byte-identical *)
-}
-
-let create db =
-  Walcodec.install_repair db;
+let gc_stats (t : t) =
   {
-    db;
-    tables = [];
-    undo = Hashtbl.create 64;
-    cmd_seq = Hashtbl.create 64;
-    pruned = 0;
-    relocated = 0;
-    reclaimed = 0;
-    walks = 0;
-    visited = 0;
-    track = Db.ssi_tracking db;
+    pruned_versions = t.swept;
+    relocated_versions = t.relocated;
+    reclaimed_pages = t.reclaimed;
   }
 
-let db t = t.db
-
-let create_table t ~name:tname ~pk_col ?(secondary = []) () =
-  let rel = Db.alloc_rel t.db in
-  let heap =
-    Heapfile.create ?seal_interval:t.db.Db.append_seal_interval t.db.Db.pool ~rel
-      ~placement:Heapfile.Append_only
-  in
-  let pk_index = Index.create t.db in
-  let secondary =
-    Array.map (fun col -> (col, Index.create t.db)) (Array.of_list secondary)
-  in
-  let vidmap =
-    if t.db.Db.vidmap_paged then Vidmap.create ~backing:(t.db.Db.pool, Db.alloc_rel t.db) ()
-    else Vidmap.create ()
-  in
-  let table = { tname; rel; heap; pk_col; vidmap; pk_index; secondary } in
-  t.tables <- t.tables @ [ table ];
-  table
-
-let begin_txn t = Db.begin_txn t.db
-
-let next_seq t xid =
-  let cell =
-    match Hashtbl.find_opt t.cmd_seq xid with
-    | Some c -> c
-    | None ->
-        let c = ref 0 in
-        Hashtbl.replace t.cmd_seq xid c;
-        c
-  in
-  incr cell;
-  !cell
-
-let push_undo t xid u =
-  let cell =
-    match Hashtbl.find_opt t.undo xid with
-    | Some c -> c
-    | None ->
-        let c = ref [] in
-        Hashtbl.replace t.undo xid c;
-        c
-  in
-  cell := u :: !cell
-
-let forget_txn t xid =
-  Hashtbl.remove t.undo xid;
-  Hashtbl.remove t.cmd_seq xid
-
-let commit t txn =
-  forget_txn t txn.Txn.xid;
-  try
-    Db.commit t.db txn;
-    Ok ()
-  with Db.Serialization_failure _ -> Error Engine.Serialization_failure
-
-let abort t txn =
-  (match Hashtbl.find_opt t.undo txn.Txn.xid with
-  | None -> ()
-  | Some cell ->
-      List.iter
-        (fun u ->
-          (match u.u_old with
-          | Some tid -> Vidmap.set u.u_table.vidmap ~vid:u.u_vid tid
-          | None -> Vidmap.clear u.u_table.vidmap ~vid:u.u_vid);
-          match (u.u_old, u.u_pk) with
-          | None, Some pk ->
-              (* fresh insert: retract the data item's index entry *)
-              ignore (Index.delete u.u_table.pk_index ~key:pk ~payload:u.u_vid)
-          | _ -> ())
-        !cell);
-  forget_txn t txn.Txn.xid;
-  Db.abort t.db txn
-
-let pk_of table row = Value.to_key row.(table.pk_col)
-
-let fetch table tid = Heapfile.read table.heap tid
-
-(* Algorithm 1's inner loop: walk the chain from the entrypoint and
-   return the first version whose creator is visible; a visible tombstone
-   means the item is deleted for this snapshot. *)
-let find_visible t txn table vid =
-  match Vidmap.get table.vidmap ~vid with
-  | None -> None
-  | Some entry ->
-      t.walks <- t.walks + 1;
-      let rec walk tid =
-        if Tid.is_invalid tid then None
-        else
-          match fetch table tid with
-          | None -> None (* pruned tail: the chain ends here *)
-          | Some item ->
-              t.visited <- t.visited + 1;
-              Db.charge_cpu t.db 1;
-              let h = Tuple.Sias.header item in
-              if h.vid <> vid then None (* slot reused after pruning *)
-              else if
-                Visibility.sias_creator_visible_fast t.db ~heap:table.heap ~tid
-                  txn.Txn.snapshot ~hint:h.create_hint ~xid:h.create
-              then if h.tombstone then None else Some (tid, item, h)
-              else begin
-                (* The research twist: a skipped chain version names an
-                   overlapping writer of this data item right in the
-                   co-located lineage — under serializable mode that is
-                   an rw antidependency, no lock-table probe needed. *)
-                if t.track then
-                  Db.note_lineage_writer t.db ~reader:txn.Txn.xid
-                    ~writer:h.create;
-                walk h.pred
-              end
-      in
-      walk entry
-
-(* The newest non-aborted version under the entrypoint, used by the
-   update conflict check. Also reports whether that version's creator is
-   still in progress. *)
-let effective_entrypoint t table vid =
-  match Vidmap.get table.vidmap ~vid with
-  | None -> None
-  | Some entry ->
-      let rec walk tid =
-        if Tid.is_invalid tid then None
-        else
-          match fetch table tid with
-          | None -> None
-          | Some item ->
-              let h = Tuple.Sias.header item in
-              if h.vid <> vid then None
-              else (
-                match Txn.status t.db.Db.txnmgr h.create with
-                | Txn.Aborted -> walk h.pred
-                | Txn.In_progress | Txn.Committed -> Some (tid, h))
-      in
-      walk entry
-
-let append_version t table ~xid ~seq ~vid ~pred ~tombstone row =
-  let item = Tuple.Sias.encode ~create:xid ~seq ~vid ~pred ~tombstone ~row in
-  let tid = Heapfile.insert table.heap item in
-  Walcodec.log_heap ~append_only:true t.db ~xid ~rel:table.rel ~kind:Wal.Insert ~tid ~item;
-  tid
-
-(* Find the data item carrying [pk]: resolve candidate VIDs through the
-   index, then pick the one whose visible version really has the key. *)
-let find_item t txn table pk =
-  let vids = Index.lookup table.pk_index ~key:pk in
-  Db.charge_cpu t.db (List.length vids);
-  List.find_map
-    (fun vid ->
-      match find_visible t txn table vid with
-      | Some (tid, item, h) ->
-          let row = Tuple.Sias.row item in
-          if pk_of table row = pk then Some (vid, tid, h, row) else None
-      | None -> None)
-    vids
-
-(* Unique-key admission, mirroring the SI engine's check: the newest
-   non-aborted version of any data item carrying this key decides —
-   visible live duplicate, in-progress writer, or a live version committed
-   after our snapshot. *)
-let insert_conflict t txn table pk =
-  if find_item t txn table pk <> None then Some Engine.Duplicate_key
-  else begin
-    let mgr = t.db.Db.txnmgr in
-    let vids = Index.lookup table.pk_index ~key:pk in
-    let conflict vid =
-      match effective_entrypoint t table vid with
-      | None -> false
-      | Some (etid, eh) -> (
-          match fetch table etid with
-          | None -> false
-          | Some item ->
-              pk_of table (Tuple.Sias.row item) = pk
-              && eh.Tuple.Sias.create <> txn.Txn.xid
-              && (match Txn.status mgr eh.Tuple.Sias.create with
-                 | Txn.In_progress ->
-                     (* another transaction is inserting, updating or
-                        deleting this key right now *)
-                     true
-                 | Txn.Committed ->
-                     (* live but invisible means it committed after our
-                        snapshot; a committed tombstone frees the key *)
-                     not eh.Tuple.Sias.tombstone
-                 | Txn.Aborted -> false))
-    in
-    if List.exists conflict vids then Some Engine.Write_conflict else None
-  end
-
-let insert t txn table row =
-  let pk = pk_of table row in
-  match insert_conflict t txn table pk with
-  | Some e -> Error e
-  | None ->
-      let xid = txn.Txn.xid in
-      let vid = Vidmap.alloc_vid table.vidmap in
-      let tid =
-        append_version t table ~xid ~seq:(next_seq t xid) ~vid ~pred:Tid.invalid
-          ~tombstone:false row
-      in
-      Vidmap.set table.vidmap ~vid tid;
-      push_undo t xid { u_table = table; u_vid = vid; u_old = None; u_pk = Some pk };
-      Index.insert table.pk_index ~key:pk ~payload:vid;
-      Array.iter
-        (fun (col, index) -> Index.insert index ~key:(Value.to_key row.(col)) ~payload:vid)
-        table.secondary;
-      (* index maintenance happens once per data item, not per version *)
-      Db.charge_cpu t.db (2 + Array.length table.secondary);
-      if t.track then Db.note_write t.db ~xid ~rel:table.rel ~pk;
-      if Db.observed t.db then
-        Db.emit t.db (Db.Event.Row_write { xid; rel = table.rel; pk; row = Some row });
-      Ok ()
-
-(* Algorithm 3. The update must start from the entrypoint: if a newer
-   (non-aborted) version than the one visible to us exists, another
-   transaction got there first. *)
-let write_version t txn table ~pk ~make_row ~tombstone =
-  match find_item t txn table pk with
-  | None -> Error Engine.Not_found
-  | Some (vid, visible_tid, _h, old_row) -> (
-      let xid = txn.Txn.xid in
-      match effective_entrypoint t table vid with
-      | None -> Error Engine.Not_found
-      | Some (etid, eh) ->
-          let entry_in_progress =
-            eh.Tuple.Sias.create <> xid
-            && Txn.status t.db.Db.txnmgr eh.Tuple.Sias.create = Txn.In_progress
-          in
-          (* the in-progress writer of the chain entrypoint holds the vid
-             writer lock, so the conflict policy decides this case *)
-          let blocked =
-            entry_in_progress
-            && Contention.acquire t.db.Db.contention ~xid ~rel:table.rel ~key:vid
-               = Contention.Abort_self
-          in
-          if blocked || not (Tid.equal etid visible_tid) then
-            Error Engine.Write_conflict
-          else (
-            match Contention.acquire t.db.Db.contention ~xid ~rel:table.rel ~key:vid with
-            | Contention.Abort_self -> Error Engine.Write_conflict
-            | Contention.Granted ->
-                let pred =
-                  match Vidmap.get table.vidmap ~vid with
-                  | Some tid -> tid
-                  | None -> Tid.invalid
-                in
-                let row = match make_row old_row with Some r -> r | None -> old_row in
-                if (not tombstone) && pk_of table row <> pk then
-                  invalid_arg "Sias_engine.update: primary key must not change";
-                let tid =
-                  append_version t table ~xid ~seq:(next_seq t xid) ~vid ~pred ~tombstone row
-                in
-                push_undo t xid { u_table = table; u_vid = vid; u_old = Some pred; u_pk = None };
-                Vidmap.set table.vidmap ~vid tid;
-                (* index maintenance only when an indexed key changed *)
-                if not tombstone then
-                  Array.iter
-                    (fun (col, index) ->
-                      let old_key = Value.to_key old_row.(col) in
-                      let new_key = Value.to_key row.(col) in
-                      if old_key <> new_key then Index.insert index ~key:new_key ~payload:vid)
-                    table.secondary;
-                Db.charge_cpu t.db 1;
-                if t.track then Db.note_write t.db ~xid ~rel:table.rel ~pk;
-                if Db.observed t.db then
-                  Db.emit t.db
-                    (Db.Event.Row_write
-                       {
-                         xid;
-                         rel = table.rel;
-                         pk;
-                         row = (if tombstone then None else Some row);
-                       });
-                Ok ()))
-
-let update t txn table ~pk f =
-  write_version t txn table ~pk ~make_row:(fun row -> Some (f row)) ~tombstone:false
-
-let delete t txn table ~pk =
-  write_version t txn table ~pk ~make_row:(fun _ -> None) ~tombstone:true
-
-let read t txn table ~pk =
-  let row =
-    match find_item t txn table pk with Some (_, _, _, row) -> Some row | None -> None
-  in
-  (* overlapping writers were already reported by the lineage walk *)
-  if t.track then
-    Db.note_read t.db ~xid:txn.Txn.xid ~rel:table.rel ~pk ~probe_writes:false;
-  if Db.observed t.db then
-    Db.emit t.db (Db.Event.Row_read { xid = txn.Txn.xid; rel = table.rel; pk; row });
-  row
-
-(* Linear probe over the (small, fixed) secondary-index array; replaces
-   the old [List.assoc_opt] without allocating. *)
-let find_index_on table col =
-  let n = Array.length table.secondary in
-  let rec go i =
-    if i >= n then None
-    else
-      let c, idx = table.secondary.(i) in
-      if c = col then Some idx else go (i + 1)
-  in
-  go 0
-
-let lookup t txn table ~col ~key =
-  match find_index_on table col with
-  | None -> invalid_arg "Sias_engine.lookup: no index on column"
-  | Some index ->
-      let vids = Index.lookup index ~key in
-      Db.charge_cpu t.db (List.length vids);
-      List.filter_map
-        (fun vid ->
-          match find_visible t txn table vid with
-          | Some (_, item, _) ->
-              let row = Tuple.Sias.row item in
-              (* stale entries from key updates are filtered here *)
-              if Value.to_key row.(col) = key then begin
-                if t.track then
-                  Db.note_read t.db ~xid:txn.Txn.xid ~rel:table.rel
-                    ~pk:(pk_of table row) ~probe_writes:false;
-                Some row
-              end
-              else None
-          | None -> None)
-        vids
-
-let range_pk t txn table ~lo ~hi =
-  let entries = Index.range table.pk_index ~lo ~hi in
-  Db.charge_cpu t.db (List.length entries);
-  List.filter_map
-    (fun (key, vid) ->
-      match find_visible t txn table vid with
-      | Some (_, item, _) ->
-          let row = Tuple.Sias.row item in
-          if pk_of table row = key then begin
-            if t.track then
-              Db.note_read t.db ~xid:txn.Txn.xid ~rel:table.rel ~pk:key
-                ~probe_writes:false;
-            Some row
-          end
-          else None
-      | None -> None)
-    entries
-
-(* Algorithm 1: scan over the VID_map, fetching only entrypoints (and
-   predecessors when the snapshot needs older versions). *)
-let scan t txn table f =
-  (* Predicate SIREAD only — the per-vid chain walks below surface every
-     overlapping writer (even a phantom insert allocates its vid before
-     commit, so its invisible version is walked and harvested). *)
-  if t.track then
-    Db.note_scan t.db ~xid:txn.Txn.xid ~rel:table.rel ~probe_writes:false;
-  let count = ref 0 in
-  for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
-    match find_visible t txn table vid with
-    | Some (_, item, _) ->
-        incr count;
-        f (Tuple.Sias.row item)
-    | None -> ()
-  done;
-  !count
-
-let scan_vidmap = scan
-
-(* The traditional scan: read the whole relation, then determine for each
-   candidate whether it is the version Algorithm 1 would return. *)
-let scan_traditional t txn table f =
-  if t.track then
-    Db.note_scan t.db ~xid:txn.Txn.xid ~rel:table.rel ~probe_writes:false;
-  let count = ref 0 in
-  Heapfile.iter table.heap (fun tid item ->
-      Db.charge_cpu t.db 1;
-      let h = Tuple.Sias.header item in
-      if
-        Visibility.sias_creator_visible_fast t.db ~heap:table.heap ~tid
-          txn.Txn.snapshot ~hint:h.create_hint ~xid:h.create
-      then
-        match find_visible t txn table h.vid with
-        | Some (vtid, _, _) when Tid.equal vtid tid ->
-            incr count;
-            f (Tuple.Sias.row item)
-        | _ -> ());
-  !count
-
-(* ------------------------------------------------------------------ *)
-(* Garbage collection (paper Section 6, Space Reclamation)             *)
-
-(* Mark-and-sweep in the spirit of log-structured space reclamation. The
-   mark phase walks every chain from its entrypoint and collects the
-   versions some present or future snapshot may still need; chains that
-   are dead in their entirety (committed tombstones below the horizon)
-   lose their VID_map entry and index entries. The sweep phase then
-   (i) deletes dead slots only on pages not yet on stable storage
-   (marking there is free — the page will be written once anyway), and
-   (ii) for sealed victim pages whose live fraction is below the
-   threshold, re-inserts the live versions at the append tail, repairs
-   the single incoming reference of each, and discards the whole page
-   with a TRIM — never a small in-place write. *)
-
-(* An item with an active writer must not be touched: the writer's undo
-   record points at the pre-update entrypoint, which GC would otherwise
-   relocate or reap out from under a subsequent abort. *)
-let locked t table vid =
-  Sias_txn.Lockmgr.holder t.db.Db.lockmgr ~rel:table.rel ~key:vid <> None
-
-(* All GC reads go through the vacuum ring so background scans neither
-   stall transactions nor evict the working set. *)
-let fetch_ro table tid = Heapfile.read_ro table.heap tid
-
-let mark_live t table =
-  let mgr = t.db.Db.txnmgr in
-  let horizon = Txn.horizon mgr in
-  let live = Hashtbl.create 1024 in
-  for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
-    match Vidmap.get table.vidmap ~vid with
-    | None -> ()
-    | Some entry ->
-        if locked t table vid then begin
-          (* an active writer owns this item: keep everything reachable *)
-          let rec keep tid =
-            if not (Tid.is_invalid tid) then
-              match fetch_ro table tid with
-              | Some item when (Tuple.Sias.header item).Tuple.Sias.vid = vid ->
-                  Hashtbl.replace live (Tid.to_int tid) vid;
-                  keep (Tuple.Sias.header item).Tuple.Sias.pred
-              | _ -> ()
-          in
-          keep entry
-        end
-        else begin
-          let rec walk tid ~succ_committed ~any_live =
-            if Tid.is_invalid tid then ()
-            else
-              match fetch_ro table tid with
-              | None -> ()
-              | Some item ->
-                  let h = Tuple.Sias.header item in
-                  if h.vid <> vid then ()
-                  else begin
-                    let dead =
-                      Visibility.sias_dead_for_all mgr ~horizon ~create:h.create
-                        ~successor_create:succ_committed
-                      || (h.tombstone && h.create < horizon
-                         && Txn.status mgr h.create = Txn.Committed)
-                    in
-                    if dead then begin
-                      (* everything below is dead too; a fully dead item
-                         loses its map and index entries *)
-                      if not any_live then begin
-                        Vidmap.clear table.vidmap ~vid;
-                        let row = Tuple.Sias.row item in
-                        ignore
-                          (Index.delete table.pk_index ~key:(pk_of table row) ~payload:vid)
-                      end
-                    end
-                    else begin
-                      Hashtbl.replace live (Tid.to_int tid) vid;
-                      let succ_committed =
-                        if Txn.status mgr h.create = Txn.Committed then Some h.create
-                        else succ_committed
-                      in
-                      walk h.pred ~succ_committed ~any_live:true
-                    end
-                  end
-          in
-          walk entry ~succ_committed:None ~any_live:false
-        end
-  done;
-  live
-
-(* Re-append a live version and repair the unique reference to it (its
-   item's VID_map entry, or its successor's chain pointer). *)
-let relocate_version t table live old_tid =
-  (* re-fetch: an earlier relocation's pointer repair may have patched
-     this very item in place after the sweep captured the page *)
-  match fetch_ro table old_tid with
-  | None -> ()
-  | Some item ->
-  let h = Tuple.Sias.header item in
-  let new_tid = Heapfile.insert table.heap item in
-  Walcodec.log_heap ~append_only:true t.db ~xid:0 ~rel:table.rel ~kind:Wal.Insert ~tid:new_tid ~item;
-  Hashtbl.remove live (Tid.to_int old_tid);
-  Hashtbl.replace live (Tid.to_int new_tid) h.vid;
-  (match Vidmap.get table.vidmap ~vid:h.vid with
-  | Some entry when Tid.equal entry old_tid -> Vidmap.set table.vidmap ~vid:h.vid new_tid
-  | Some entry ->
-      let rec repair tid =
-        if not (Tid.is_invalid tid) then
-          match fetch_ro table tid with
-          | None -> ()
-          | Some succ_item ->
-              let sh = Tuple.Sias.header succ_item in
-              if Tid.equal sh.pred old_tid then begin
-                Tuple.Sias.patch_pred succ_item new_tid;
-                if not (Heapfile.update_in_place table.heap tid succ_item) then
-                  failwith "Sias_engine.gc: pred patch failed";
-                Walcodec.log_heap t.db ~xid:0 ~rel:table.rel ~kind:Wal.Update ~tid
-                  ~item:succ_item
-              end
-              else repair sh.pred
-      in
-      repair entry
-  | None -> ());
-  t.relocated <- t.relocated + 1
-
-let sweep t table live ~fill_threshold =
-  let nblocks = Heapfile.nblocks table.heap in
-  let tail = match Heapfile.last_block table.heap with Some b -> b | None -> -1 in
-  let page_size = Bufpool.page_size t.db.Db.pool in
-  for block = 0 to nblocks - 1 do
-    if not (Heapfile.discarded table.heap block) then begin
-      let slots = ref [] in
-      Bufpool.with_page_ro t.db.Db.pool ~rel:table.rel ~block (fun page ->
-          Sias_storage.Page.iter page (fun slot item ->
-              slots := (Tid.make ~block ~slot, item) :: !slots));
-      let live_slots, dead_slots =
-        List.partition (fun (tid, _) -> Hashtbl.mem live (Tid.to_int tid)) !slots
-      in
-      if !slots <> [] then
-        if not (Heapfile.sealed table.heap block) then
-          List.iter
-            (fun (tid, _) ->
-              Heapfile.delete table.heap tid;
-              Walcodec.log_heap t.db ~xid:0 ~rel:table.rel ~kind:Wal.Delete ~tid
-                ~item:Bytes.empty;
-              t.pruned <- t.pruned + 1)
-            dead_slots
-        else begin
-          let live_bytes =
-            List.fold_left (fun acc (_, item) -> acc + Bytes.length item) 0 live_slots
-          in
-          let movable =
-            List.for_all
-              (fun (_, item) ->
-                not (locked t table (Tuple.Sias.header item).Tuple.Sias.vid))
-              live_slots
-          in
-          if movable && block <> tail
-             && float_of_int live_bytes /. float_of_int page_size < fill_threshold
-          then begin
-            List.iter (fun (tid, _) -> relocate_version t table live tid) live_slots;
-            t.pruned <- t.pruned + List.length dead_slots;
-            Heapfile.discard_block table.heap block;
-            Walcodec.log_heap t.db ~xid:0 ~rel:table.rel ~kind:Wal.Trim
-              ~tid:(Tid.make ~block ~slot:0) ~item:Bytes.empty;
-            t.reclaimed <- t.reclaimed + 1
-          end
-        end
-    end
-  done
-
-let gc_table t table ~fill_threshold =
-  let live = mark_live t table in
-  sweep t table live ~fill_threshold
-
-let gc t = List.iter (fun table -> gc_table t table ~fill_threshold:0.55) t.tables
-
-(* ------------------------------------------------------------------ *)
-(* Recovery (paper Section 6): replay the heap, then reconstruct the
-   VID_map and indexes from on-tuple information alone. *)
-
-let discover_nblocks pool ~rel =
-  let b = ref 0 in
-  while Bufpool.on_disk pool ~rel ~block:!b || Bufpool.resident pool ~rel ~block:!b do
-    incr b
-  done;
-  !b
-
-let newer (c1, s1) (c2, s2) = c1 > c2 || (c1 = c2 && s1 > s2)
-
-let recover t =
-  Walcodec.replay_clog t.db;
-  Walcodec.redo t.db ~since_lsn:0;
-  List.iter
-    (fun table ->
-      Sias_chaos.Crashpoint.reach "recover.heap.restore";
-      let nblocks = discover_nblocks t.db.Db.pool ~rel:table.rel in
-      table.heap <-
-        Heapfile.restore t.db.Db.pool ~rel:table.rel ~placement:Heapfile.Append_only ~nblocks;
-      table.vidmap <-
-        (if t.db.Db.vidmap_paged then
-           Vidmap.create ~backing:(t.db.Db.pool, Db.alloc_rel t.db) ()
-         else Vidmap.create ());
-      table.pk_index <- Index.recover t.db table.pk_index;
-      table.secondary <-
-        Array.map (fun (col, idx) -> (col, Index.recover t.db idx)) table.secondary;
-      (* paged indexes were replayed in place; only the array
-         implementation is rebuilt below (stale entries of crashed
-         transactions in a paged index are filtered by visibility) *)
-      let rebuild = Index.needs_rebuild table.pk_index in
-      (* newest committed version per VID becomes the entrypoint *)
-      let best = Hashtbl.create 1024 in
-      let max_vid = ref (-1) in
-      Heapfile.iter table.heap (fun tid item ->
-          let h = Tuple.Sias.header item in
-          if h.vid > !max_vid then max_vid := h.vid;
-          if Txn.status t.db.Db.txnmgr h.create = Txn.Committed then
-            match Hashtbl.find_opt best h.vid with
-            | Some (c, s, _) when not (newer (h.create, h.seq) (c, s)) -> ()
-            | _ -> Hashtbl.replace best h.vid (h.create, h.seq, (tid, item)));
-      for _ = 0 to !max_vid do
-        ignore (Vidmap.alloc_vid table.vidmap)
-      done;
-      Hashtbl.iter
-        (fun vid (_, _, (tid, item)) ->
-          Vidmap.set table.vidmap ~vid tid;
-          let h = Tuple.Sias.header item in
-          if rebuild && not h.Tuple.Sias.tombstone then begin
-            let row = Tuple.Sias.row item in
-            Index.insert table.pk_index ~key:(pk_of table row) ~payload:vid;
-            Array.iter
-              (fun (col, index) ->
-                Index.insert index ~key:(Value.to_key row.(col)) ~payload:vid)
-              table.secondary
-          end)
-        best)
-    t.tables
-
-(* White-box invariant checker used by the property-test suite. Raises
-   [Failure] with a description when an invariant is broken:
-   - chain order: along every chain, (create, seq) strictly decreases;
-   - vid integrity: every version on a chain carries the chain's VID;
-   - entrypoint: the VID_map points at the newest non-aborted reachable
-     version of its item;
-   - index reachability: every live entrypoint's primary key resolves to
-     its VID through the pk index. *)
-let check_invariants t table =
-  let mgr = t.db.Db.txnmgr in
-  for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
-    match Vidmap.get table.vidmap ~vid with
-    | None -> ()
-    | Some entry ->
-        let rec walk tid prev =
-          if not (Tid.is_invalid tid) then
-            match fetch table tid with
-            | None -> () (* pruned tail *)
-            | Some item ->
-                let h = Tuple.Sias.header item in
-                if h.vid <> vid then () (* foreign slot: chain ends *)
-                else begin
-                  (match prev with
-                  | Some (pc, ps) ->
-                      if (h.create, h.seq) >= (pc, ps) then
-                        failwith
-                          (Printf.sprintf
-                             "chain order violated for vid %d: (%d,%d) under (%d,%d)" vid
-                             h.create h.seq pc ps)
-                  | None -> ());
-                  walk h.pred (Some (h.create, h.seq))
-                end
-        in
-        walk entry None;
-        (match fetch table entry with
-        | None -> failwith (Printf.sprintf "vid %d entrypoint dangles" vid)
-        | Some item ->
-            let h = Tuple.Sias.header item in
-            if h.vid <> vid then
-              failwith (Printf.sprintf "vid %d entrypoint aliases vid %d" vid h.vid);
-            (* index reachability for live items *)
-            if (not h.tombstone) && Txn.status mgr h.create = Txn.Committed then begin
-              let pk = pk_of table (Tuple.Sias.row item) in
-              if not (List.mem vid (Index.lookup table.pk_index ~key:pk)) then
-                failwith (Printf.sprintf "vid %d unreachable through pk index" vid)
-            end)
-  done
-
-let table_stats (_t : t) table =
-  let total = ref 0 in
-  Heapfile.iter table.heap (fun _ _ -> incr total);
-  let live = ref 0 in
-  Vidmap.iter table.vidmap (fun _vid tid ->
-      match fetch table tid with
-      | Some item when not (Tuple.Sias.header item).Tuple.Sias.tombstone -> incr live
-      | _ -> ());
-  {
-    Engine.heap_blocks = Heapfile.live_blocks table.heap;
-    live_versions = !live;
-    total_versions = !total;
-    avg_fill = Heapfile.avg_fill table.heap;
-  }
-
-let gc_stats t =
-  { pruned_versions = t.pruned; relocated_versions = t.relocated; reclaimed_pages = t.reclaimed }
-
-let chain_walk_stats t = (t.walks, t.visited)
-
-let index_summary t =
-  List.map
-    (fun table ->
-      ( table.tname,
-        Index.summary table.pk_index
-        :: Array.to_list (Array.map (fun (_, i) -> Index.summary i) table.secondary) ))
-    t.tables
-
-let table_vidmap _t table = table.vidmap
+let chain_walk_stats = Chain.walk_stats

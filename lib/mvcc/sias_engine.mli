@@ -18,9 +18,6 @@ val scan_traditional : t -> Sias_txn.Txn.t -> table -> (Value.t array -> unit) -
     order and check each individually (reproduces the paper's Section
     4.2.1 discussion and the scan ablation bench). *)
 
-val scan_vidmap : t -> Sias_txn.Txn.t -> table -> (Value.t array -> unit) -> int
-(** Alias of {!scan}: Algorithm 1 over the VID_map. *)
-
 type gc_stats = {
   pruned_versions : int;  (** dead versions removed by chain truncation *)
   relocated_versions : int;  (** live versions re-appended from victim pages *)
@@ -37,5 +34,5 @@ val table_vidmap : t -> table -> Vidmap.t
 
 val check_invariants : t -> table -> unit
 (** White-box structural invariants (chain order, VID integrity,
-    entrypoint correctness, index reachability); raises [Failure] with a
+    entrypoint present, index reachability); raises [Failure] with a
     description on violation. Used by the property-test suite. *)

@@ -36,3 +36,9 @@ val table_vidmap : t -> table -> Vidmap.t
 val fetches_per_read : t -> float
 (** Mean number of vector fetches a visibility resolution needed — the
     co-location payoff (compare with chain walk depth). *)
+
+val check_invariants : t -> table -> unit
+(** White-box structural invariants (vector order along the overflow
+    chain, VID integrity, entrypoint present, index reachability);
+    raises [Failure] with a description on violation. Used by the
+    property-test suite. *)

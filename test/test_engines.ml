@@ -205,6 +205,16 @@ module Make (E : Engine.S) = struct
         checki "one row with value 8" 1 (List.length (E.lookup eng txn table ~col:1 ~key:8));
         checki "none with 9" 0 (List.length (E.lookup eng txn table ~col:1 ~key:9)))
 
+  let test_lookup_unindexed_column () =
+    let eng, table = fresh () in
+    with_txn eng (fun txn ->
+        put eng table txn 1 7;
+        match E.lookup eng txn table ~col:2 ~key:7 with
+        | _ -> Alcotest.fail "lookup on an unindexed column returned"
+        | exception Invalid_argument msg ->
+            check ("message names " ^ E.name ^ ": " ^ msg) true
+              (String.starts_with ~prefix:(E.name ^ ".") msg))
+
   let test_secondary_after_key_update () =
     let eng, table = fresh () in
     with_txn eng (fun txn -> put eng table txn 1 7);
@@ -382,6 +392,7 @@ module Make (E : Engine.S) = struct
       Alcotest.test_case "first-updater-wins" `Quick test_first_updater_wins_active;
       Alcotest.test_case "scan counts" `Quick test_scan_counts;
       Alcotest.test_case "secondary lookup" `Quick test_secondary_lookup;
+      Alcotest.test_case "lookup on unindexed column" `Quick test_lookup_unindexed_column;
       Alcotest.test_case "secondary after key update" `Quick test_secondary_after_key_update;
       Alcotest.test_case "range over pk" `Quick test_range_pk;
       Alcotest.test_case "version chain + gc" `Quick test_many_versions_then_gc;

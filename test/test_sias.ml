@@ -1,4 +1,4 @@
-(* White-box tests for SIAS-Chains internals: chain structure, VID_map
+(* White-box tests for SIAS internals: chain structure, VID_map
    entrypoints, append-only write pattern, index-update avoidance, and the
    SI-vs-SIAS storage contrast the paper is built on. *)
 
@@ -232,7 +232,7 @@ let test_scan_vidmap_equals_traditional () =
     let n = scan eng txn table (fun r -> acc := (Value.int r.(0), Value.int r.(1)) :: !acc) in
     (n, List.sort compare !acc)
   in
-  let n1, rows1 = collect E.scan_vidmap in
+  let n1, rows1 = collect E.scan in
   let n2, rows2 = collect E.scan_traditional in
   E.commit eng txn |> Result.get_ok;
   checki "same count" n1 n2;
@@ -281,29 +281,45 @@ let suite =
   ]
 
 (* Property: structural invariants hold after arbitrary committed op
-   sequences with interleaved GC, crashes and recovery. *)
+   sequences with interleaved GC, crashes and recovery, on either SIAS
+   store (the engine is one more generated input). *)
+module type CHECKED = sig
+  include Mvcc.Engine.S
+
+  val check_invariants : t -> table -> unit
+end
+
 let qcheck_invariants =
-  QCheck.Test.make ~name:"SIAS invariants under random ops + gc + recovery" ~count:40
+  QCheck.Test.make ~name:"SIAS invariants under random ops + gc + recovery" ~count:60
     QCheck.(
-      list_of_size Gen.(int_range 5 120)
-        (pair (int_range 1 25) (pair (int_bound 500) (int_bound 5))))
-    (fun ops ->
-      let eng, table, db = fresh () in
+      pair
+        (make ~print:fst
+           Gen.(oneofl [ ("sias", (module E : CHECKED)); ("sias-v", (module Mvcc.Sias_vector)) ]))
+        (list_of_size Gen.(int_range 5 120)
+           (pair (int_range 1 25) (pair (int_bound 500) (int_bound 5)))))
+    (fun ((_, (module X : CHECKED)), ops) ->
+      let db = Db.create ~buffer_pages:512 () in
+      let eng = X.create db in
+      let table = X.create_table eng ~name:"t" ~pk_col:0 ~secondary:[ 1 ] () in
+      let commit_one f =
+        let txn = X.begin_txn eng in
+        f txn;
+        X.commit eng txn |> Result.get_ok
+      in
       List.iter
         (fun (k, (v, op)) ->
           (match op with
-          | 0 | 1 ->
-              commit_one eng (fun txn -> ignore (E.insert eng txn table (row k v)))
-          | 2 | 3 -> commit_one eng (fun txn -> ignore (E.update eng txn table ~pk:k (set_v v)))
-          | 4 -> commit_one eng (fun txn -> ignore (E.delete eng txn table ~pk:k))
-          | _ -> E.gc eng);
-          E.check_invariants eng table)
+          | 0 | 1 -> commit_one (fun txn -> ignore (X.insert eng txn table (row k v)))
+          | 2 | 3 -> commit_one (fun txn -> ignore (X.update eng txn table ~pk:k (set_v v)))
+          | 4 -> commit_one (fun txn -> ignore (X.delete eng txn table ~pk:k))
+          | _ -> X.gc eng);
+          X.check_invariants eng table)
         ops;
       (* invariants must also survive a crash/recovery cycle *)
       Bufpool.flush_all db.Db.pool ~sync:false;
       Bufpool.drop_cache db.Db.pool;
-      E.recover eng;
-      E.check_invariants eng table;
+      X.recover eng;
+      X.check_invariants eng table;
       true)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest qcheck_invariants ]

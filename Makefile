@@ -34,7 +34,9 @@ micro:
 # into it). Wall-clock optimisations that leak into simulated time fail
 # here. The paged-index runs use a pool far below heap plus index, so
 # their `buffer:` hit/miss/eviction line also pins the sequence of index
-# page accesses.
+# page accesses. One bench chapter run under --faults and async commit
+# pins the bench's fill-in of command-line flags into experiment setups
+# (the wall-time line is the only host-dependent output and is dropped).
 determinism:
 	mkdir -p _obs
 	for e in $(ENGINES); do \
@@ -52,6 +54,11 @@ determinism:
 	    --domains 1 > _obs/run_$${e}_paged.txt 2>&1 || exit 1; \
 	  diff -u test/golden/run_$${e}_paged.txt _obs/run_$${e}_paged.txt || exit 1; \
 	done
+	@echo "== bench vectors --faults 3 --synchronous-commit off =="
+	dune exec bench/main.exe -- vectors --faults 3 --synchronous-commit off \
+	  > _obs/bench_vectors_overlay.raw
+	grep -v '^(total wall time' _obs/bench_vectors_overlay.raw > _obs/bench_vectors_overlay.txt
+	diff -u test/golden/bench_vectors_overlay.txt _obs/bench_vectors_overlay.txt
 	@echo "determinism OK: default-seed outputs match test/golden"
 
 # Multicore smoke: the sharded TPC-C bench across 1/2/4 domains with the

@@ -16,30 +16,30 @@ module W = Tpcc.Tpcc_workload
 module T = Sias_util.Tablefmt
 module B = Flashsim.Blocktrace
 
-let full = ref false
+(* What every experiment is handed: paper-scale or quick parameters, the
+   run function (run_tpcc under the command line's overlay), and the
+   --bench-baseline JSON path. *)
+type ctx = { full : bool; run : setup -> output; baseline : string option }
 
-(* --bench-out / --bench-baseline: machine-readable results (BENCH_5.json) *)
-let bench_out : string option ref = ref None
-let bench_baseline : string option ref = ref None
+(* A BENCH JSON value; a section prints all its numbers with one
+   precision. *)
+type json = Num of float | Obj of (string * json) list
 
-(* per-engine (metric, value) rows collected by the micro bench *)
-let micro_results : (string * (string * float) list) list ref = ref []
+(* What an experiment leaves behind besides its stdout: its BENCH JSON
+   sections (name, decimals, body) and its gate failures, each a line
+   printed after the JSON is written. *)
+type outcome = { sections : (string * int * json) list; failures : string list }
 
-(* per-configuration (metric, value) rows collected by the repl bench *)
-let repl_results : (string * (string * float) list) list ref = ref []
+let nothing = { sections = []; failures = [] }
 
-(* per engine/level (metric, value) rows collected by the isolation bench *)
-let isolation_results : (string * (string * float) list) list ref = ref []
+let fields kvs = Obj (List.map (fun (k, v) -> (k, Num v)) kvs)
 
-(* per engine/configuration (metric, value) rows from the index bench;
-   gate failures accumulate so the process can exit non-zero at the end *)
-let index_results : (string * (string * float) list) list ref = ref []
-let index_gate_failures = ref 0
+(* One section of (row key, metric fields) rows. *)
+let rows ?(decimals = 1) name rs =
+  (name, decimals, Obj (List.map (fun (k, fs) -> (k, fields fs)) rs))
 
-(* per engine/domain-count (metric, value) rows from the multicore bench;
-   violations accumulate so the process can exit non-zero at the end *)
-let multicore_results : (string * (string * float) list) list ref = ref []
-let multicore_violations = ref 0
+(* A gate's failure line, when its violation count is nonzero. *)
+let gate count fmt = if count > 0 then [ Printf.sprintf fmt count ] else []
 
 let section title =
   Printf.printf "\n============================================================\n";
@@ -51,9 +51,9 @@ let note fmt = Printf.printf (fmt ^^ "\n%!")
 (* ------------------------------------------------------------------ *)
 (* Table 1: write amount (MB) and reduction, SI vs SIAS-t1 vs SIAS-t2  *)
 
-let table1 () =
+let table1 c =
   section "Table 1: Write Amount (MB) and Reduction (%) -- TPC-C 100 WH, SSD";
-  let durations = if !full then [ 600.0; 900.0; 1800.0 ] else [ 60.0; 120.0 ] in
+  let durations = if c.full then [ 600.0; 900.0; 1800.0 ] else [ 60.0; 120.0 ] in
   let base =
     {
       (default_setup ~engine:"si" ~warehouses:100) with
@@ -69,7 +69,7 @@ let table1 () =
   List.iter
     (fun duration_s ->
       let cell engine flush =
-        run_tpcc
+        c.run
           { base with engine; flush; duration_s; checkpoint_interval_s = duration_s /. 2.0 }
       in
       let si = cell "si" T1 in
@@ -100,16 +100,16 @@ let table1 () =
 (* ------------------------------------------------------------------ *)
 (* Table 2: TPC-C on HDD -- throughput (NOTPM) and response time (sec) *)
 
-let table2 () =
+let table2 c =
   section "Table 2: TPC-C on HDD -- NOTPM and response time (sec.)";
-  let whs = if !full then [ 30; 40; 50; 60; 75; 100 ] else [ 30; 50; 75 ] in
+  let whs = if c.full then [ 30; 40; 50; 60; 75; 100 ] else [ 30; 50; 75 ] in
   let run engine warehouses =
-    run_tpcc
+    c.run
       {
         (default_setup ~engine ~warehouses) with
         device = Hdd_single;
         buffer_pages = 4096;
-        duration_s = (if !full then 120.0 else 60.0);
+        duration_s = (if c.full then 120.0 else 60.0);
         gc_interval_s = Some 30.0;
       }
   in
@@ -129,17 +129,17 @@ let table2 () =
 (* ------------------------------------------------------------------ *)
 (* Figures 3 and 4: blocktraces                                         *)
 
-let figure_blocktrace engine figure_name paper_note =
+let figure_blocktrace c engine figure_name paper_note =
   section
     (Printf.sprintf "%s: blocktrace -- %s -- SSD, 100 WH, %s" figure_name
        (engine_name engine)
-       (if !full then "300 sec." else "60 sec."));
+       (if c.full then "300 sec." else "60 sec."));
   let o =
-    run_tpcc
+    c.run
       {
         (default_setup ~engine ~warehouses:100) with
         buffer_pages = 4096;
-        duration_s = (if !full then 300.0 else 60.0);
+        duration_s = (if c.full then 300.0 else 60.0);
         gc_interval_s = Some 30.0;
         keep_trace_records = true;
       }
@@ -154,22 +154,22 @@ let figure_blocktrace engine figure_name paper_note =
     (100.0 *. B.sequentiality o.trace B.Read);
   note "%s" paper_note
 
-let figure3 () =
-  figure_blocktrace "sias" "Figure 3"
+let figure3 c =
+  figure_blocktrace c "sias" "Figure 3"
     "paper: almost only read access; appends form per-relation swimlanes"
 
-let figure4 () =
-  figure_blocktrace "si" "Figure 4"
+let figure4 c =
+  figure_blocktrace c "si" "Figure 4"
     "paper: read and write access mixed; writes scattered across the relations"
 
 (* ------------------------------------------------------------------ *)
 (* Figures 5 and 6: throughput/response vs warehouses on SSD RAIDs      *)
 
-let sweep ~device ~buffer_pages ~whs ~duration_s =
+let sweep c ~device ~buffer_pages ~whs ~duration_s =
   List.map
     (fun warehouses ->
       let run engine =
-        run_tpcc
+        c.run
           {
             (default_setup ~engine ~warehouses) with
             device;
@@ -212,31 +212,31 @@ let print_sweep cells =
   let si_wh, si_n = peak (fun (_, si) -> si.result.W.notpm) in
   note "peaks: SIAS %.0f NOTPM @ %d WH | SI %.0f NOTPM @ %d WH" sias_n sias_wh si_n si_wh
 
-let figure5 () =
+let figure5 c =
   section "Figure 5: TPC-C on a two-SSD RAID-0 -- throughput vs warehouses";
   let whs =
-    if !full then [ 50; 100; 200; 300; 400; 450; 500; 530; 600 ] else [ 50; 150; 300; 450 ]
+    if c.full then [ 50; 100; 200; 300; 400; 450; 500; 530; 600 ] else [ 50; 150; 300; 450 ]
   in
   print_sweep
-    (sweep ~device:(Ssd_raid 2) ~buffer_pages:3072 ~whs
-       ~duration_s:(if !full then 120.0 else 60.0));
+    (sweep c ~device:(Ssd_raid 2) ~buffer_pages:3072 ~whs
+       ~duration_s:(if c.full then 120.0 else 60.0));
   note "paper: SIAS sustains higher throughput as WHs grow (+30%% at the top)"
 
-let figure6 () =
+let figure6 c =
   section "Figure 6: TPC-C on a six-SSD RAID-0 -- throughput and response time";
   let whs =
-    if !full then [ 100; 200; 300; 400; 450; 500; 530; 600 ] else [ 100; 300; 450; 530 ]
+    if c.full then [ 100; 200; 300; 400; 450; 500; 530; 600 ] else [ 100; 300; 450; 530 ]
   in
   print_sweep
-    (sweep ~device:(Ssd_raid 6) ~buffer_pages:6144 ~whs
-       ~duration_s:(if !full then 120.0 else 60.0));
+    (sweep c ~device:(Ssd_raid 6) ~buffer_pages:6144 ~whs
+       ~duration_s:(if c.full then 120.0 else 60.0));
   note "paper: SI peaks at 450 WH (4862 NOTPM, 4.8 s resp.); SIAS peaks at";
   note "530 WH (6182 NOTPM, 3.3 s resp.) -- about 30%% more throughput."
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (not in the paper's tables; design choices of DESIGN.md)  *)
 
-let ablation_scan () =
+let ablation_scan _ =
   section "Ablation: SIAS scan via VID_map vs traditional relation scan (Sec. 4.2.1)";
   let module E = Mvcc.Sias_engine in
   let db = Mvcc.Db.create ~buffer_pages:256 () in
@@ -272,11 +272,11 @@ let ablation_scan () =
     (t_trad /. Float.max 1e-9 t_vid);
   note "the traditional scan fetches every tuple version and re-resolves each"
 
-let ablation_vectors () =
+let ablation_vectors c =
   section
     "Ablation: version placement -- SI (FSM) vs SI-CV ([18]) vs SIAS-Chains vs SIAS-V";
   let run engine =
-    run_tpcc
+    c.run
       {
         (default_setup ~engine ~warehouses:20) with
         duration_s = 30.0;
@@ -302,14 +302,14 @@ let ablation_vectors () =
   note "FSM placement) but keeps in-place invalidation; SIAS removes it entirely.";
   note "SIAS-V trades vector re-append amplification for single-fetch reads."
 
-let ablation_gc () =
+let ablation_gc c =
   section "Ablation: SIAS garbage collection on/off -- space and version bloat";
   (* long, update-heavy run: enough version churn for page decay *)
   let run gc =
-    run_tpcc
+    c.run
       {
         (default_setup ~engine:"sias" ~warehouses:10) with
-        duration_s = (if !full then 300.0 else 120.0);
+        duration_s = (if c.full then 300.0 else 120.0);
         buffer_pages = 1024;
         think_time_s = 0.2;
         gc_interval_s = gc;
@@ -324,7 +324,7 @@ let ablation_gc () =
   note "paper (Sec. 6): GC re-inserts live versions of victim pages and discards";
   note "dead ones; reclamation is a TRIM, not a write."
 
-let ablation_noftl () =
+let ablation_noftl _ =
   section "Ablation: NoFTL -- append pattern on raw Flash (paper Discussion, [22])";
   let module N = Flashsim.Noftl in
   let module B = Flashsim.Blocktrace in
@@ -359,10 +359,10 @@ let ablation_noftl () =
     (!t_inplace /. Float.max 1e-9 !t_append);
   note "device far less; GC-driven erases are deterministic, not device background work"
 
-let ablation_vidmap () =
+let ablation_vidmap c =
   section "Ablation: VID_map residency -- in-memory vs paged through the buffer pool";
   let run vidmap_paged =
-    run_tpcc
+    c.run
       {
         (default_setup ~engine:"sias" ~warehouses:50) with
         duration_s = 30.0;
@@ -380,16 +380,16 @@ let ablation_vidmap () =
   note "paper 4.1.3: on large databases the map spills to disk through the";
   note "ordinary buffer machinery; bucket pages then compete for frames."
 
-let ablation_endurance () =
+let ablation_endurance c =
   section "Ablation: Flash endurance -- device-level wear under SI vs SIAS (Sec. 6)";
   let run engine =
-    run_tpcc
+    c.run
       {
         (default_setup ~engine ~warehouses:50) with
         (* a small drive (256 MB physical) so the cumulative write volume
            turns the device over several times and its GC must work *)
         device = Ssd_sized 1024;
-        duration_s = (if !full then 300.0 else 90.0);
+        duration_s = (if c.full then 300.0 else 90.0);
         buffer_pages = 2048;
         gc_interval_s = Some 30.0;
       }
@@ -416,7 +416,7 @@ let ablation_endurance () =
   note "nothing to relocate: fewer erases and lower peak wear per unit of work";
   note "(paper Sec. 6: the I/O pattern suggests increased Flash endurance)."
 
-let ablation_contention () =
+let ablation_contention c =
   section "Contention: conflict policies -- TPC-C 1 WH, 8 terminals, retries 5, SI checker on";
   let module C = Sias_txn.Contention in
   let tbl =
@@ -428,10 +428,10 @@ let ablation_contention () =
       List.iter
         (fun policy ->
           let o =
-            run_tpcc
+            c.run
               {
                 (default_setup ~engine ~warehouses:1) with
-                duration_s = (if !full then 60.0 else 10.0);
+                duration_s = (if c.full then 60.0 else 10.0);
                 buffer_pages = 1024;
                 scale_div = 300;
                 terminals_per_warehouse = 8;
@@ -470,13 +470,13 @@ let ablation_contention () =
   note "client-visible conflicts stay at zero and every policy agrees; policies and";
   note "the retry loop differentiate under the interleaved-transaction test suite."
 
-let ablation_groupcommit () =
+let ablation_groupcommit c =
   section
     "Commit pipeline: sync vs group vs async -- TPC-C 1 WH, WAL on its own SSD";
   let modes =
     [ ("sync", true, 0.0); ("group", true, 0.0007); ("async", false, 0.0) ]
   in
-  let terminal_counts = if !full then [ 8; 16; 32 ] else [ 8; 16 ] in
+  let terminal_counts = if c.full then [ 8; 16; 32 ] else [ 8; 16 ] in
   let tbl =
     T.create
       [
@@ -491,7 +491,7 @@ let ablation_groupcommit () =
           List.iter
             (fun (label, sync_commit, delay) ->
               let o =
-                run_tpcc
+                c.run
                   {
                     (default_setup ~engine ~warehouses:1) with
                     duration_s = 30.0;
@@ -531,11 +531,11 @@ let ablation_groupcommit () =
   note "WAL-writer trickle bounds the loss window (never corruption).";
   note "postgres: commit_delay / synchronous_commit=off, on a simulated SSD."
 
-let ablation_repl () =
+let ablation_repl c =
   section
     "Replication: standby lag vs commit_delay -- TPC-C 1 WH, lossy WAL-shipping link";
   let module R = Sias_repl.Repl in
-  let delays = if !full then [ 0.0; 0.0005; 0.002 ] else [ 0.0; 0.002 ] in
+  let delays = if c.full then [ 0.0; 0.0005; 0.002 ] else [ 0.0; 0.002 ] in
   let tbl =
     T.create
       [
@@ -543,61 +543,58 @@ let ablation_repl () =
         "retrans"; "degraded"; "drops";
       ]
   in
-  List.iter
-    (fun engine ->
-      List.iter
-        (fun (mode : R.mode) ->
-          List.iter
-            (fun delay ->
-              let o =
-                run_tpcc
-                  {
-                    (default_setup ~engine ~warehouses:1) with
-                    duration_s = (if !full then 30.0 else 10.0);
-                    buffer_pages = 4096;
-                    scale_div = 300;
-                    terminals_per_warehouse = 8;
-                    think_time_s = 0.005;
-                    gc_interval_s = Some 30.0;
-                    commit_delay_s = delay;
-                    wal_device = Some Ssd_single;
-                    repl_mode = Some mode;
-                    repl_link = Sias_repl.Link.lossy;
-                  }
-              in
-              let rs = Option.get o.repl_stats in
-              T.add_row tbl
-                [
-                  engine_name engine;
-                  rs.R.mode_label;
-                  T.fmt_float ~decimals:2 (1000.0 *. delay);
-                  T.fmt_float ~decimals:0 o.result.W.notpm;
-                  string_of_int rs.R.shipped_records;
-                  string_of_int rs.R.installed_records;
-                  string_of_int rs.R.lag_records;
-                  string_of_int rs.R.retransmits;
-                  string_of_int rs.R.degraded_acks;
-                  string_of_int rs.R.link_dropped;
-                ];
-              repl_results :=
-                !repl_results
-                @ [
-                    ( Printf.sprintf "%s/%s/delay%gms" engine rs.R.mode_label
-                        (1000.0 *. delay),
-                      [
-                        ("notpm", o.result.W.notpm);
-                        ("shipped_records", float_of_int rs.R.shipped_records);
-                        ( "installed_records",
-                          float_of_int rs.R.installed_records );
-                        ("lag_records", float_of_int rs.R.lag_records);
-                        ("retransmits", float_of_int rs.R.retransmits);
-                        ("degraded_acks", float_of_int rs.R.degraded_acks);
-                        ("link_dropped", float_of_int rs.R.link_dropped);
-                      ] );
-                  ])
-            delays)
-        [ R.Ship_async; R.Remote_flush ])
-    [ "si"; "si-cv"; "sias"; "sias-v" ];
+  let results =
+    List.concat_map
+      (fun engine ->
+        List.concat_map
+          (fun (mode : R.mode) ->
+            List.map
+              (fun delay ->
+                let o =
+                  c.run
+                    {
+                      (default_setup ~engine ~warehouses:1) with
+                      duration_s = (if c.full then 30.0 else 10.0);
+                      buffer_pages = 4096;
+                      scale_div = 300;
+                      terminals_per_warehouse = 8;
+                      think_time_s = 0.005;
+                      gc_interval_s = Some 30.0;
+                      commit_delay_s = delay;
+                      wal_device = Some Ssd_single;
+                      repl_mode = Some mode;
+                      repl_link = Sias_repl.Link.lossy;
+                    }
+                in
+                let rs = Option.get o.repl_stats in
+                T.add_row tbl
+                  [
+                    engine_name engine;
+                    rs.R.mode_label;
+                    T.fmt_float ~decimals:2 (1000.0 *. delay);
+                    T.fmt_float ~decimals:0 o.result.W.notpm;
+                    string_of_int rs.R.shipped_records;
+                    string_of_int rs.R.installed_records;
+                    string_of_int rs.R.lag_records;
+                    string_of_int rs.R.retransmits;
+                    string_of_int rs.R.degraded_acks;
+                    string_of_int rs.R.link_dropped;
+                  ];
+                ( Printf.sprintf "%s/%s/delay%gms" engine rs.R.mode_label
+                    (1000.0 *. delay),
+                  [
+                    ("notpm", o.result.W.notpm);
+                    ("shipped_records", float_of_int rs.R.shipped_records);
+                    ("installed_records", float_of_int rs.R.installed_records);
+                    ("lag_records", float_of_int rs.R.lag_records);
+                    ("retransmits", float_of_int rs.R.retransmits);
+                    ("degraded_acks", float_of_int rs.R.degraded_acks);
+                    ("link_dropped", float_of_int rs.R.link_dropped);
+                  ] ))
+              delays)
+          [ R.Ship_async; R.Remote_flush ])
+      [ "si"; "si-cv"; "sias"; "sias-v" ]
+  in
   T.print tbl;
   note "async ships after local fsync: commits never wait, lag is whatever the";
   note "lossy link and go-back-N leave outstanding. remote-flush makes the";
@@ -605,7 +602,8 @@ let ablation_repl () =
   note "standby flush ack, so one round-trip amortizes across the group:";
   note "larger delay -> fewer round-trips -> higher NOTPM on a lossy link,";
   note "at zero standby lag. degraded counts commits acked locally after";
-  note "retry exhaustion."
+  note "retry exhaustion.";
+  { nothing with sections = [ rows "repl" results ] }
 
 (* ------------------------------------------------------------------ *)
 (* bench isolation: si vs ssi vs wsi across the engine registry        *)
@@ -626,7 +624,7 @@ let ablation_repl () =
    loop, so the delta isolates tracking cost (SIREAD bookkeeping CPU),
    not abort churn. *)
 
-let ablation_isolation () =
+let ablation_isolation c =
   section
     "Isolation: si vs ssi vs wsi -- anomaly rate, abort rate, NOTPM (4 engines)";
   let module V = Mvcc.Value in
@@ -645,7 +643,7 @@ let ablation_isolation () =
     E.insert eng txn table [| V.Int 2; V.Int 100_000 |] |> Result.get_ok;
     E.commit eng txn |> Result.get_ok;
     let rng = Sias_util.Rng.create 17 in
-    let rounds = if !full then 400 else 120 in
+    let rounds = if c.full then 400 else 120 in
     let committed = ref 0 and aborted = ref 0 in
     for _ = 1 to rounds do
       let t1 = E.begin_txn eng in
@@ -680,11 +678,11 @@ let ablation_isolation () =
       stat Mvcc.Ssimgr.table_edges )
   in
   let tpcc_leg engine level =
-    run_tpcc
+    c.run
       {
         (default_setup ~engine ~warehouses:1) with
         isolation = level;
-        duration_s = (if !full then 30.0 else 10.0);
+        duration_s = (if c.full then 30.0 else 10.0);
         buffer_pages = 1024;
         scale_div = 300;
         terminals_per_warehouse = 4;
@@ -701,72 +699,69 @@ let ablation_isolation () =
       ]
   in
   let gate_failures = ref 0 in
-  List.iter
-    (fun engine ->
-      let si_notpm = ref 0.0 in
-      List.iter
-        (fun level ->
-          let cycles, committed, aborted, lin, tab =
-            anomaly_leg engine level
-          in
-          let o = tpcc_leg engine level in
-          let notpm = o.result.W.notpm in
-          if level = "si" then si_notpm := notpm;
-          let delta =
-            if level = "si" || !si_notpm <= 0.0 then 0.0
-            else 100.0 *. (notpm -. !si_notpm) /. !si_notpm
-          in
-          let abort_pct =
-            100.0 *. float_of_int aborted
-            /. float_of_int (max 1 (committed + aborted))
-          in
-          (* acceptance gates: si must exhibit the anomaly, the
-             serializable levels must not, and the TPC-C run must stay
-             checker-clean at every level *)
-          if level = "si" && cycles = 0 then incr gate_failures;
-          if level <> "si" && cycles > 0 then incr gate_failures;
-          let tpcc_cycles =
-            match o.checker with
-            | Some c ->
-                if Mvcc.Sichecker.violation_count c > 0 then
-                  incr gate_failures;
-                if level <> "si" && Mvcc.Sichecker.cycle_count c > 0 then
-                  incr gate_failures;
-                Mvcc.Sichecker.cycle_count c
-            | None -> 0
-          in
-          T.add_row tbl
-            [
-              engine_name engine;
-              level;
-              string_of_int cycles;
-              string_of_int aborted;
-              T.fmt_float ~decimals:1 abort_pct;
-              T.fmt_float ~decimals:0 notpm;
-              T.fmt_float ~decimals:1 delta;
-              string_of_int lin;
-              string_of_int tab;
-              (if tpcc_cycles = 0 then "OK"
-               else Printf.sprintf "%d cycles" tpcc_cycles);
-            ];
-          isolation_results :=
-            !isolation_results
-            @ [
-                ( engine ^ "/" ^ level,
-                  [
-                    ("anomaly_cycles", float_of_int cycles);
-                    ("serialization_aborts", float_of_int aborted);
-                    ("abort_rate_pct", abort_pct);
-                    ("notpm", notpm);
-                    ("notpm_delta_vs_si_pct", delta);
-                    ( "tpcc_aborted",
-                      float_of_int o.result.W.total_aborted );
-                    ("lineage_edges", float_of_int lin);
-                    ("table_edges", float_of_int tab);
-                  ] );
-              ])
-        [ "si"; "ssi"; "wsi" ])
-    [ "si"; "si-cv"; "sias"; "sias-v" ];
+  let results =
+    List.concat_map
+      (fun engine ->
+        let si_notpm = ref 0.0 in
+        List.map
+          (fun level ->
+            let cycles, committed, aborted, lin, tab =
+              anomaly_leg engine level
+            in
+            let o = tpcc_leg engine level in
+            let notpm = o.result.W.notpm in
+            if level = "si" then si_notpm := notpm;
+            let delta =
+              if level = "si" || !si_notpm <= 0.0 then 0.0
+              else 100.0 *. (notpm -. !si_notpm) /. !si_notpm
+            in
+            let abort_pct =
+              100.0 *. float_of_int aborted
+              /. float_of_int (max 1 (committed + aborted))
+            in
+            (* acceptance gates: si must exhibit the anomaly, the
+               serializable levels must not, and the TPC-C run must stay
+               checker-clean at every level *)
+            if level = "si" && cycles = 0 then incr gate_failures;
+            if level <> "si" && cycles > 0 then incr gate_failures;
+            let tpcc_cycles =
+              match o.checker with
+              | Some ck ->
+                  if Mvcc.Sichecker.violation_count ck > 0 then
+                    incr gate_failures;
+                  if level <> "si" && Mvcc.Sichecker.cycle_count ck > 0 then
+                    incr gate_failures;
+                  Mvcc.Sichecker.cycle_count ck
+              | None -> 0
+            in
+            T.add_row tbl
+              [
+                engine_name engine;
+                level;
+                string_of_int cycles;
+                string_of_int aborted;
+                T.fmt_float ~decimals:1 abort_pct;
+                T.fmt_float ~decimals:0 notpm;
+                T.fmt_float ~decimals:1 delta;
+                string_of_int lin;
+                string_of_int tab;
+                (if tpcc_cycles = 0 then "OK"
+                 else Printf.sprintf "%d cycles" tpcc_cycles);
+              ];
+            ( engine ^ "/" ^ level,
+              [
+                ("anomaly_cycles", float_of_int cycles);
+                ("serialization_aborts", float_of_int aborted);
+                ("abort_rate_pct", abort_pct);
+                ("notpm", notpm);
+                ("notpm_delta_vs_si_pct", delta);
+                ("tpcc_aborted", float_of_int o.result.W.total_aborted);
+                ("lineage_edges", float_of_int lin);
+                ("table_edges", float_of_int tab);
+              ] ))
+          [ "si"; "ssi"; "wsi" ])
+      [ "si"; "si-cv"; "sias"; "sias-v" ]
+  in
   T.print tbl;
   note "anomalies = rw-antidependency cycles the online checker found in the";
   note "COMMITTED history of the write-skew loop: nonzero under plain si (the";
@@ -776,13 +771,13 @@ let ablation_isolation () =
   note "version lineage the visibility walk already traverses; the si engines";
   note "fall back to probing the SIREAD writes table. dNOTPM%% is the tracking";
   note "overhead vs the same engine at plain si (serial driver: pure CPU cost).";
-  if !gate_failures > 0 then begin
-    note "";
-    note "ISOLATION GATE FAILED: %d violation(s) -- si must show anomalies on"
-      !gate_failures;
-    note "write skew, ssi/wsi must show none, and TPC-C must stay checker-clean.";
-    exit 1
-  end
+  {
+    sections = [ rows "isolation" results ];
+    failures =
+      gate !gate_failures
+        "FAIL: %d isolation-bench gate violation(s) -- si must show anomalies on \
+         write skew, ssi/wsi must show none, and TPC-C must stay checker-clean";
+  }
 
 (* ------------------------------------------------------------------ *)
 (* bench index: paged B+Tree write amplification + buffer pressure     *)
@@ -803,17 +798,17 @@ let ablation_isolation () =
    the index share of the write traffic grows -- the figure the paged
    design pays for crash-recoverable indexes with. *)
 
-let ablation_index () =
+let ablation_index c =
   section
     "Index: paged WAL-logged B+Tree -- write amplification, beyond-RAM TPC-C";
   let run ~engine ~index ~buffer_pages =
-    run_tpcc
+    c.run
       {
         (default_setup ~engine ~warehouses:20) with
         index;
         measure_index_io = true;
         buffer_pages;
-        duration_s = (if !full then 120.0 else 30.0);
+        duration_s = (if c.full then 120.0 else 30.0);
         gc_interval_s = Some 30.0;
         keep_trace_records = false;
       }
@@ -825,57 +820,55 @@ let ablation_index () =
         "ix WA"; "splits"; "merges"; "height";
       ]
   in
-  let si_write_mb = ref 0.0 in
-  List.iter
-    (fun engine ->
-      let o = run ~engine ~index:"paged" ~buffer_pages:512 in
-      let io = Option.get o.index_io in
-      let wa = io.ix_flush_mb /. Float.max 1e-9 io.ix_logical_mb in
-      if engine = "si" then si_write_mb := o.run_write_mb;
-      (* the paper's headline must survive the paged index: the append
-         engines cannot write more to the device than SI on this run *)
-      if
-        (engine = "sias" || engine = "sias-v")
-        && o.run_write_mb > !si_write_mb +. 0.05
-      then begin
-        incr index_gate_failures;
-        note "!! %s wrote %.1f MB > SI's %.1f MB with the paged index" engine
-          o.run_write_mb !si_write_mb
-      end;
-      T.add_row tbl
-        [
-          engine_name engine;
-          T.fmt_float ~decimals:0 o.result.W.notpm;
-          T.fmt_float ~decimals:1 o.run_write_mb;
-          T.fmt_float ~decimals:2 io.ix_flush_mb;
-          T.fmt_float ~decimals:2 io.heap_flush_mb;
-          T.fmt_float ~decimals:2 io.ix_logical_mb;
-          T.fmt_float ~decimals:2 wa;
-          string_of_int io.ix_splits;
-          string_of_int io.ix_merges;
-          string_of_int io.ix_height;
-        ];
-      index_results :=
-        !index_results
-        @ [
-            ( engine ^ "/paged",
-              [
-                ("notpm", o.result.W.notpm);
-                ("device_write_mb", o.run_write_mb);
-                ("device_read_mb", o.run_read_mb);
-                ("index_flush_mb", io.ix_flush_mb);
-                ("index_flush_pages", float_of_int io.ix_flush_count);
-                ("heap_flush_mb", io.heap_flush_mb);
-                ("index_logical_mb", io.ix_logical_mb);
-                ("index_write_amplification", wa);
-                ("index_entries", float_of_int io.ix_entries);
-                ("index_nodes", float_of_int io.ix_nodes);
-                ("index_height", float_of_int io.ix_height);
-                ("index_splits", float_of_int io.ix_splits);
-                ("index_merges", float_of_int io.ix_merges);
-              ] );
-          ])
-    [ "si"; "si-cv"; "sias"; "sias-v" ];
+  let si_write_mb = ref 0.0 and gate_failures = ref 0 in
+  let engine_rows =
+    List.map
+      (fun engine ->
+        let o = run ~engine ~index:"paged" ~buffer_pages:512 in
+        let io = Option.get o.index_io in
+        let wa = io.ix_flush_mb /. Float.max 1e-9 io.ix_logical_mb in
+        if engine = "si" then si_write_mb := o.run_write_mb;
+        (* the paper's headline must survive the paged index: the append
+           engines cannot write more to the device than SI on this run *)
+        if
+          (engine = "sias" || engine = "sias-v")
+          && o.run_write_mb > !si_write_mb +. 0.05
+        then begin
+          incr gate_failures;
+          note "!! %s wrote %.1f MB > SI's %.1f MB with the paged index" engine
+            o.run_write_mb !si_write_mb
+        end;
+        T.add_row tbl
+          [
+            engine_name engine;
+            T.fmt_float ~decimals:0 o.result.W.notpm;
+            T.fmt_float ~decimals:1 o.run_write_mb;
+            T.fmt_float ~decimals:2 io.ix_flush_mb;
+            T.fmt_float ~decimals:2 io.heap_flush_mb;
+            T.fmt_float ~decimals:2 io.ix_logical_mb;
+            T.fmt_float ~decimals:2 wa;
+            string_of_int io.ix_splits;
+            string_of_int io.ix_merges;
+            string_of_int io.ix_height;
+          ];
+        ( engine ^ "/paged",
+          [
+            ("notpm", o.result.W.notpm);
+            ("device_write_mb", o.run_write_mb);
+            ("device_read_mb", o.run_read_mb);
+            ("index_flush_mb", io.ix_flush_mb);
+            ("index_flush_pages", float_of_int io.ix_flush_count);
+            ("heap_flush_mb", io.heap_flush_mb);
+            ("index_logical_mb", io.ix_logical_mb);
+            ("index_write_amplification", wa);
+            ("index_entries", float_of_int io.ix_entries);
+            ("index_nodes", float_of_int io.ix_nodes);
+            ("index_height", float_of_int io.ix_height);
+            ("index_splits", float_of_int io.ix_splits);
+            ("index_merges", float_of_int io.ix_merges);
+          ] ))
+      [ "si"; "si-cv"; "sias"; "sias-v" ]
+  in
   T.print tbl;
   note "ix WA = index MB flushed / logical entry MB: slotted 8 KB pages";
   note "re-flushed across checkpoints amplify each 16-byte entry; the array";
@@ -886,55 +879,59 @@ let ablation_index () =
   note "";
   note "sias-v array index, same run: %.0f NOTPM, %.1f MB written (ix %.2f MB)"
     arr.result.W.notpm arr.run_write_mb arr_io.ix_flush_mb;
-  index_results :=
-    !index_results
-    @ [
-        ( "sias-v/array",
-          [
-            ("notpm", arr.result.W.notpm);
-            ("device_write_mb", arr.run_write_mb);
-            ("index_flush_mb", arr_io.ix_flush_mb);
-            ("heap_flush_mb", arr_io.heap_flush_mb);
-          ] );
-      ];
+  let array_row =
+    ( "sias-v/array",
+      [
+        ("notpm", arr.result.W.notpm);
+        ("device_write_mb", arr.run_write_mb);
+        ("index_flush_mb", arr_io.ix_flush_mb);
+        ("heap_flush_mb", arr_io.heap_flush_mb);
+      ] )
+  in
   (* buffer-pressure sweep: index share of the writes vs pool size *)
-  let buffers = if !full then [ 256; 512; 1024; 2048; 4096 ] else [ 256; 1024; 4096 ] in
+  let buffers = if c.full then [ 256; 512; 1024; 2048; 4096 ] else [ 256; 1024; 4096 ] in
   let tbl =
     T.create [ "buffer pages"; "NOTPM"; "ix W MB"; "heap W MB"; "ix share %" ]
   in
-  List.iter
-    (fun buffer_pages ->
-      let o = run ~engine:"sias-v" ~index:"paged" ~buffer_pages in
-      let io = Option.get o.index_io in
-      let share =
-        100.0 *. io.ix_flush_mb
-        /. Float.max 1e-9 (io.ix_flush_mb +. io.heap_flush_mb)
-      in
-      T.add_row tbl
-        [
-          string_of_int buffer_pages;
-          T.fmt_float ~decimals:0 o.result.W.notpm;
-          T.fmt_float ~decimals:2 io.ix_flush_mb;
-          T.fmt_float ~decimals:2 io.heap_flush_mb;
-          T.fmt_float ~decimals:1 share;
-        ];
-      index_results :=
-        !index_results
-        @ [
-            ( Printf.sprintf "sias-v/paged/buf%d" buffer_pages,
-              [
-                ("buffer_pages", float_of_int buffer_pages);
-                ("notpm", o.result.W.notpm);
-                ("index_flush_mb", io.ix_flush_mb);
-                ("heap_flush_mb", io.heap_flush_mb);
-                ("index_write_share_pct", share);
-              ] );
-          ])
-    buffers;
+  let pressure_rows =
+    List.map
+      (fun buffer_pages ->
+        let o = run ~engine:"sias-v" ~index:"paged" ~buffer_pages in
+        let io = Option.get o.index_io in
+        let share =
+          100.0 *. io.ix_flush_mb
+          /. Float.max 1e-9 (io.ix_flush_mb +. io.heap_flush_mb)
+        in
+        T.add_row tbl
+          [
+            string_of_int buffer_pages;
+            T.fmt_float ~decimals:0 o.result.W.notpm;
+            T.fmt_float ~decimals:2 io.ix_flush_mb;
+            T.fmt_float ~decimals:2 io.heap_flush_mb;
+            T.fmt_float ~decimals:1 share;
+          ];
+        ( Printf.sprintf "sias-v/paged/buf%d" buffer_pages,
+          [
+            ("buffer_pages", float_of_int buffer_pages);
+            ("notpm", o.result.W.notpm);
+            ("index_flush_mb", io.ix_flush_mb);
+            ("heap_flush_mb", io.heap_flush_mb);
+            ("index_write_share_pct", share);
+          ] ))
+      buffers
+  in
   T.print tbl;
   note "shrinking the pool forces index pages out through the same bgwriter/";
   note "checkpoint machinery as heap pages: the index share of device writes";
-  note "is the residency price of a crash-recoverable index."
+  note "is the residency price of a crash-recoverable index.";
+  {
+    sections =
+      [ rows ~decimals:3 "index" (engine_rows @ (array_row :: pressure_rows)) ];
+    failures =
+      gate !gate_failures
+        "FAIL: %d index-bench gate violation(s) -- SIAS/SIAS-V device writes \
+         must stay <= SI with the paged index";
+  }
 
 (* ------------------------------------------------------------------ *)
 (* bench micro: wall-clock ops/sec on the engine hot paths             *)
@@ -954,9 +951,10 @@ let wall = Sias_util.Monotime.now
 (* Best-of-trials peak rate: short timed windows, keep the fastest. The
    max filters out bursty interference from a shared host, which a single
    long window folds into the mean. [batch] returns its op count. *)
-let time_ops ~min_time batch =
+let time_ops c batch =
   ignore (batch ());
-  let trials = if !full then 12 else 6 in
+  let min_time = if c.full then 2.0 else 0.4 in
+  let trials = if c.full then 12 else 6 in
   let window = Float.max 0.05 (min_time /. float_of_int trials) in
   let best = ref 0.0 in
   for _ = 1 to trials do
@@ -970,9 +968,8 @@ let time_ops ~min_time batch =
   done;
   !best
 
-let micro_engine key (module E : Mvcc.Engine.S) =
+let micro_engine c key (module E : Mvcc.Engine.S) =
   let module V = Mvcc.Value in
-  let min_time = if !full then 2.0 else 0.4 in
   let rng = Sias_util.Rng.create 99 in
   (* plain table: point reads, scans, updates *)
   let db = Mvcc.Db.create ~buffer_pages:4096 () in
@@ -986,16 +983,16 @@ let micro_engine key (module E : Mvcc.Engine.S) =
   E.commit eng txn |> Result.get_ok;
   let reader = E.begin_txn eng in
   let point_read =
-    time_ops ~min_time (fun () ->
+    time_ops c (fun () ->
         for _ = 1 to 256 do
           ignore (E.read eng reader plain ~pk:(1 + Sias_util.Rng.int rng n_plain))
         done;
         256)
   in
-  let scan = time_ops ~min_time (fun () -> E.scan eng reader plain (fun _ -> ())) in
+  let scan = time_ops c (fun () -> E.scan eng reader plain (fun _ -> ())) in
   E.commit eng reader |> Result.get_ok;
   let update =
-    time_ops ~min_time (fun () ->
+    time_ops c (fun () ->
         let txn = E.begin_txn eng in
         let ok = ref 0 in
         for _ = 1 to 64 do
@@ -1023,21 +1020,21 @@ let micro_engine key (module E : Mvcc.Engine.S) =
   E.commit eng_p txn |> Result.get_ok;
   let reader = E.begin_txn eng_p in
   let btree_point =
-    time_ops ~min_time (fun () ->
+    time_ops c (fun () ->
         for _ = 1 to 256 do
           ignore (E.read eng_p reader paged ~pk:(1 + Sias_util.Rng.int rng n_paged))
         done;
         256)
   in
   let btree_range =
-    time_ops ~min_time (fun () ->
+    time_ops c (fun () ->
         let lo = 1 + Sias_util.Rng.int rng (n_paged - 128) in
         List.length (E.range_pk eng_p reader paged ~lo ~hi:(lo + 127)))
   in
   E.commit eng_p reader |> Result.get_ok;
   let next_key = ref (n_paged + 1) in
   let btree_insert =
-    time_ops ~min_time (fun () ->
+    time_ops c (fun () ->
         let txn = E.begin_txn eng_p in
         for _ = 1 to 64 do
           E.insert eng_p txn paged [| V.Int !next_key; V.Str "i" |]
@@ -1073,13 +1070,13 @@ let micro_engine key (module E : Mvcc.Engine.S) =
   let crowd = List.init 2_000 (fun _ -> E.begin_txn eng) in
   let reader = E.begin_txn eng in
   ignore (E.scan eng reader hot (fun _ -> ()));
-  let vis_scan = time_ops ~min_time (fun () -> E.scan eng reader hot (fun _ -> ())) in
+  let vis_scan = time_ops c (fun () -> E.scan eng reader hot (fun _ -> ())) in
   E.commit eng reader |> Result.get_ok;
   List.iter (fun t -> E.abort eng t) crowd;
   (* the simulated headline number, for the record *)
   let t0 = wall () in
   let o =
-    run_tpcc
+    c.run
       {
         (default_setup ~engine:key ~warehouses:2) with
         duration_s = 10.0;
@@ -1104,11 +1101,8 @@ let micro_engine key (module E : Mvcc.Engine.S) =
 (* Engine-independent visibility check: the bare isVisible predicate
    against a populated transaction manager -- CLOG representation and
    snapshot membership with nothing else on the path. *)
-let micro_core_results : (string * float) list ref = ref []
-
-let micro_core () =
+let micro_core c =
   let module Txn = Sias_txn.Txn in
-  let min_time = if !full then 2.0 else 0.4 in
   let mgr = Txn.create_mgr () in
   let n = 20_000 in
   let xids = Array.init n (fun _ -> Txn.begin_txn mgr) in
@@ -1119,7 +1113,7 @@ let micro_core () =
   let reader = Txn.begin_txn mgr in
   let rng = Sias_util.Rng.create 7 in
   let rate =
-    time_ops ~min_time (fun () ->
+    time_ops c (fun () ->
         let hits = ref 0 in
         for _ = 1 to 1024 do
           if Txn.visible mgr reader.Txn.snapshot (1 + Sias_util.Rng.int rng n) then
@@ -1129,8 +1123,8 @@ let micro_core () =
   in
   Txn.commit mgr reader;
   List.iter (fun t -> Txn.abort mgr t) crowd;
-  micro_core_results := [ ("visibility_check_ops_per_s", rate) ];
-  note "isVisible predicate (20k xids, 2k concurrent): %.0f checks/s" rate
+  note "isVisible predicate (20k xids, 2k concurrent): %.0f checks/s" rate;
+  rate
 
 (* Pull ["<engine>": {... "<field>": <num> ...}] out of a baseline JSON
    with plain string scanning -- no JSON dependency for one float. *)
@@ -1157,12 +1151,12 @@ let baseline_field ~json ~engine ~field =
           done;
           float_of_string_opt (String.trim (String.sub json q (!r - q))))
 
-let micro () =
+let micro c =
   section "Micro-benchmarks: wall-clock ops/sec on the engine hot paths";
-  micro_core ();
-  let engines = Mvcc.Engine.all () in
-  micro_results :=
-    List.map (fun (key, m) -> (key, micro_engine key m)) engines;
+  let core_rate = micro_core c in
+  let results =
+    List.map (fun (key, m) -> (key, micro_engine c key m)) (Mvcc.Engine.all ())
+  in
   let tbl =
     T.create
       [ "engine"; "point read/s"; "scan rows/s"; "update/s"; "vis-scan rows/s"; "NOTPM" ]
@@ -1179,7 +1173,7 @@ let micro () =
           T.fmt_float ~decimals:0 (get "visibility_scan_rows_per_s");
           T.fmt_float ~decimals:0 (get "notpm");
         ])
-    !micro_results;
+    results;
   T.print tbl;
   let tbl =
     T.create
@@ -1195,22 +1189,19 @@ let micro () =
           T.fmt_float ~decimals:0 (get "btree_range_scan_rows_per_s");
           T.fmt_float ~decimals:0 (get "btree_insert_ops_per_s");
         ])
-    !micro_results;
+    results;
   T.print tbl;
-  match !bench_baseline with
+  (match c.baseline with
   | None -> ()
   | Some path ->
       let ic = open_in path in
       let json = really_input_string ic (in_channel_length ic) in
       close_in ic;
       note "\nspeedup vs baseline (%s):" path;
-      (match
-         ( baseline_field ~json ~engine:"core" ~field:"visibility_check_ops_per_s",
-           !micro_core_results )
-       with
-      | Some base, [ (_, now) ] when base > 0.0 ->
+      (match baseline_field ~json ~engine:"core" ~field:"visibility_check_ops_per_s" with
+      | Some base when base > 0.0 ->
           note "  %-12s isVisible predicate   %.2fx (%.0f -> %.0f checks/s)" "core"
-            (now /. base) base now
+            (core_rate /. base) base core_rate
       | _ -> ());
       List.iter
         (fun (key, fields) ->
@@ -1220,122 +1211,74 @@ let micro () =
               note "  %-12s visibility-heavy scan %.2fx (%.0f -> %.0f rows/s)"
                 (engine_name key) (now /. base) base now
           | _ -> note "  %-12s (no baseline figure)" (engine_name key))
-        !micro_results
+        results);
+  {
+    nothing with
+    sections =
+      [
+        rows "engines" results;
+        ("core", 1, fields [ ("visibility_check_ops_per_s", core_rate) ]);
+      ];
+  }
 
-(* BENCH_5.json: micro results (when the micro bench ran), the run's
-   total wall time, and the embedded baseline if one was given. *)
-let write_bench_json ~wall_s =
-  match !bench_out with
-  | None -> ()
-  | Some path ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "{\n";
-      Buffer.add_string buf
-        (Printf.sprintf "  \"bench\": \"sias micro\",\n  \"mode\": %S,\n"
-           (if !full then "full" else "quick"));
-      Buffer.add_string buf (Printf.sprintf "  \"wall_time_s\": %.2f,\n" wall_s);
-      Buffer.add_string buf "  \"engines\": {";
-      List.iteri
-        (fun i (key, fields) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-          List.iteri
-            (fun j (f, v) ->
-              if j > 0 then Buffer.add_char buf ',';
-              Buffer.add_string buf (Printf.sprintf "\n      %S: %.1f" f v))
-            fields;
-          Buffer.add_string buf "\n    }")
-        !micro_results;
-      Buffer.add_string buf "\n  }";
-      if !micro_core_results <> [] then begin
-        Buffer.add_string buf ",\n  \"core\": {";
+(* BENCH JSON sections in the order every record has carried them;
+   "engines" is always present, empty unless micro ran. *)
+let section_order = [ "engines"; "core"; "repl"; "isolation"; "index"; "multicore" ]
+
+(* The BENCH record: mode, the run's total wall time, every section the
+   chosen experiments produced, and the embedded baseline if one was
+   given. *)
+let write_bench_json ~full ~baseline ~wall_s sections path =
+  let buf = Buffer.create 4096 in
+  let rec emit ~decimals indent = function
+    | Num v -> Buffer.add_string buf (Printf.sprintf "%.*f" decimals v)
+    | Obj kvs ->
+        Buffer.add_char buf '{';
         List.iteri
-          (fun j (f, v) ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: %.1f" f v))
-          !micro_core_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      if !repl_results <> [] then begin
-        Buffer.add_string buf ",\n  \"repl\": {";
-        List.iteri
-          (fun i (key, fields) ->
+          (fun i (k, v) ->
             if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-            List.iteri
-              (fun j (f, v) ->
-                if j > 0 then Buffer.add_char buf ',';
-                Buffer.add_string buf (Printf.sprintf "\n      %S: %.1f" f v))
-              fields;
-            Buffer.add_string buf "\n    }")
-          !repl_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      if !isolation_results <> [] then begin
-        Buffer.add_string buf ",\n  \"isolation\": {";
-        List.iteri
-          (fun i (key, fields) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-            List.iteri
-              (fun j (f, v) ->
-                if j > 0 then Buffer.add_char buf ',';
-                Buffer.add_string buf (Printf.sprintf "\n      %S: %.1f" f v))
-              fields;
-            Buffer.add_string buf "\n    }")
-          !isolation_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      if !index_results <> [] then begin
-        Buffer.add_string buf ",\n  \"index\": {";
-        List.iteri
-          (fun i (key, fields) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-            List.iteri
-              (fun j (f, v) ->
-                if j > 0 then Buffer.add_char buf ',';
-                Buffer.add_string buf (Printf.sprintf "\n      %S: %.3f" f v))
-              fields;
-            Buffer.add_string buf "\n    }")
-          !index_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      if !multicore_results <> [] then begin
-        Buffer.add_string buf ",\n  \"multicore\": {";
-        List.iteri
-          (fun i (key, fields) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-            List.iteri
-              (fun j (f, v) ->
-                if j > 0 then Buffer.add_char buf ',';
-                Buffer.add_string buf (Printf.sprintf "\n      %S: %.1f" f v))
-              fields;
-            Buffer.add_string buf "\n    }")
-          !multicore_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      (match !bench_baseline with
-      | Some bpath when Sys.file_exists bpath ->
-          let ic = open_in bpath in
-          let json = String.trim (really_input_string ic (in_channel_length ic)) in
-          close_in ic;
-          if String.length json > 0 && json.[0] = '{' then begin
-            Buffer.add_string buf ",\n  \"baseline\": ";
-            Buffer.add_string buf json
-          end
-      | _ -> ());
-      Buffer.add_string buf "\n}\n";
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "bench results -> %s\n%!" path
+            Buffer.add_string buf (Printf.sprintf "\n%s  %S: " indent k);
+            emit ~decimals (indent ^ "  ") v)
+          kvs;
+        Buffer.add_string buf ("\n" ^ indent ^ "}")
+  in
+  Buffer.add_string buf
+    (Printf.sprintf "{\n  \"bench\": \"sias micro\",\n  \"mode\": %S,\n  \"wall_time_s\": %.2f"
+       (if full then "full" else "quick")
+       wall_s);
+  List.iter
+    (fun name ->
+      let found =
+        match List.filter (fun (n, _, _) -> n = name) sections with
+        | [] when name = "engines" -> [ rows name [] ]
+        | found -> found
+      in
+      List.iter
+        (fun (_, decimals, body) ->
+          Buffer.add_string buf (Printf.sprintf ",\n  %S: " name);
+          emit ~decimals "  " body)
+        found)
+    section_order;
+  (match baseline with
+  | Some bpath when Sys.file_exists bpath ->
+      let ic = open_in bpath in
+      let json = String.trim (really_input_string ic (in_channel_length ic)) in
+      close_in ic;
+      if String.length json > 0 && json.[0] = '{' then begin
+        Buffer.add_string buf ",\n  \"baseline\": ";
+        Buffer.add_string buf json
+      end
+  | _ -> ());
+  Buffer.add_string buf "\n}\n";
+  let oc = open_out path in
+  output_string oc (Buffer.contents buf);
+  close_out oc;
+  Printf.printf "bench results -> %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the core data structures               *)
 
-let micro_structs () =
+let micro_structs _ =
   section "Micro-benchmarks (Bechamel): core data-structure operations";
   let open Bechamel in
   let vidmap = Vidmap.create () in
@@ -1409,8 +1352,6 @@ let micro_structs () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* multicore: shared-nothing TPC-C sharded across OCaml 5 domains.
    Weak scaling, TPC-C's own mode: warehouses are per domain, so N
    domains simulate an N-times larger system and aggregate NOTPM should
@@ -1419,201 +1360,146 @@ let micro_structs () =
    not the sharding). Every shard runs with the SI checker attached;
    any violation fails the whole bench run. *)
 
-let multicore_bench () =
+let multicore_bench c =
   section "Multicore: sharded TPC-C on OCaml 5 domains (weak scaling)";
   let module MC = Tpcc.Tpcc_multicore in
-  let engines = if !full then [ "si"; "si-cv"; "sias"; "sias-v" ] else [ "sias-v" ] in
-  let domain_counts = if !full then [ 1; 2; 4; 8 ] else [ 1; 2; 4 ] in
+  let engines = if c.full then [ "si"; "si-cv"; "sias"; "sias-v" ] else [ "sias-v" ] in
+  let domain_counts = if c.full then [ 1; 2; 4; 8 ] else [ 1; 2; 4 ] in
   note "host: %d recommended domains" (Domain.recommended_domain_count ());
-  List.iter
-    (fun engine ->
-      let base_notpm = ref 0.0 in
-      let base_wall = ref 0.0 in
-      List.iter
-        (fun domains ->
-          let cfg = MC.default_config ~engine ~domains ~warehouses_per_domain:1 in
-          let cfg =
-            {
-              cfg with
-              MC.base =
-                { cfg.MC.base with W.duration_s = (if !full then 300.0 else 60.0) };
-              bufpool_shards = (if domains > 1 then 4 else 1);
-            }
-          in
-          let r = MC.run cfg in
-          if domains = 1 then begin
-            base_notpm := r.MC.agg_notpm;
-            base_wall := r.MC.wall_s
-          end;
-          let speedup =
-            if !base_notpm > 0.0 then r.MC.agg_notpm /. !base_notpm else 0.0
-          in
-          multicore_violations := !multicore_violations + r.MC.violations;
-          note
-            "  %-7s domains=%d  agg %7.0f NOTPM (%.2fx vs 1 domain)  wall %6.2fs \
-             %7.0f NOTPM-wall  fsyncs %d/%d commits (saved %d)  violations %d"
-            engine domains r.MC.agg_notpm speedup r.MC.wall_s r.MC.wall_notpm
-            r.MC.slots.Sias_wal.Walslots.commit_fsyncs
-            r.MC.slots.Sias_wal.Walslots.commits
-            r.MC.slots.Sias_wal.Walslots.fsyncs_saved r.MC.violations;
-          multicore_results :=
-            !multicore_results
-            @ [
-                ( Printf.sprintf "%s/d%d" engine domains,
-                  [
-                    ("domains", float_of_int domains);
-                    ("warehouses_per_domain", float_of_int cfg.MC.base.W.warehouses);
-                    ("agg_notpm", r.MC.agg_notpm);
-                    ("notpm_scaling_vs_1domain", speedup);
-                    ("wall_s", r.MC.wall_s);
-                    ("wall_notpm", r.MC.wall_notpm);
-                    ("total_committed", float_of_int r.MC.total_committed);
-                    ("new_orders", float_of_int r.MC.total_new_orders);
-                    ( "commit_fsyncs",
-                      float_of_int r.MC.slots.Sias_wal.Walslots.commit_fsyncs );
-                    ( "fsyncs_saved",
-                      float_of_int r.MC.slots.Sias_wal.Walslots.fsyncs_saved );
-                    ("violations", float_of_int r.MC.violations);
-                  ] );
-              ])
-        domain_counts)
-    engines;
-  if !multicore_violations > 0 then
-    note "!! SI checker reported %d violations -- bench will exit non-zero"
-      !multicore_violations
+  let violations = ref 0 in
+  let results =
+    List.concat_map
+      (fun engine ->
+        let base_notpm = ref 0.0 in
+        List.map
+          (fun domains ->
+            let cfg = MC.default_config ~engine ~domains ~warehouses_per_domain:1 in
+            let cfg =
+              {
+                cfg with
+                MC.base =
+                  { cfg.MC.base with W.duration_s = (if c.full then 300.0 else 60.0) };
+                bufpool_shards = (if domains > 1 then 4 else 1);
+              }
+            in
+            let r = MC.run cfg in
+            if domains = 1 then base_notpm := r.MC.agg_notpm;
+            let speedup =
+              if !base_notpm > 0.0 then r.MC.agg_notpm /. !base_notpm else 0.0
+            in
+            violations := !violations + r.MC.violations;
+            note
+              "  %-7s domains=%d  agg %7.0f NOTPM (%.2fx vs 1 domain)  wall %6.2fs \
+               %7.0f NOTPM-wall  fsyncs %d/%d commits (saved %d)  violations %d"
+              engine domains r.MC.agg_notpm speedup r.MC.wall_s r.MC.wall_notpm
+              r.MC.slots.Sias_wal.Walslots.commit_fsyncs
+              r.MC.slots.Sias_wal.Walslots.commits
+              r.MC.slots.Sias_wal.Walslots.fsyncs_saved r.MC.violations;
+            ( Printf.sprintf "%s/d%d" engine domains,
+              [
+                ("domains", float_of_int domains);
+                ("warehouses_per_domain", float_of_int cfg.MC.base.W.warehouses);
+                ("agg_notpm", r.MC.agg_notpm);
+                ("notpm_scaling_vs_1domain", speedup);
+                ("wall_s", r.MC.wall_s);
+                ("wall_notpm", r.MC.wall_notpm);
+                ("total_committed", float_of_int r.MC.total_committed);
+                ("new_orders", float_of_int r.MC.total_new_orders);
+                ("commit_fsyncs", float_of_int r.MC.slots.Sias_wal.Walslots.commit_fsyncs);
+                ("fsyncs_saved", float_of_int r.MC.slots.Sias_wal.Walslots.fsyncs_saved);
+                ("violations", float_of_int r.MC.violations);
+              ] ))
+          domain_counts)
+      engines
+  in
+  if !violations > 0 then
+    note "!! SI checker reported %d violations -- bench will exit non-zero" !violations;
+  {
+    sections = [ rows "multicore" results ];
+    failures =
+      gate !violations "FAIL: SI checker reported %d violations during the multicore bench";
+  }
 
 let experiments =
+  let plain f c =
+    f c;
+    nothing
+  in
   [
-    ("table1", table1);
-    ("table2", table2);
-    ("figure3", figure3);
-    ("figure4", figure4);
-    ("figure5", figure5);
-    ("figure6", figure6);
-    ("scan", ablation_scan);
-    ("vectors", ablation_vectors);
-    ("gc", ablation_gc);
-    ("noftl", ablation_noftl);
-    ("vidmap", ablation_vidmap);
-    ("endurance", ablation_endurance);
-    ("contention", ablation_contention);
-    ("groupcommit", ablation_groupcommit);
+    ("table1", plain table1);
+    ("table2", plain table2);
+    ("figure3", plain figure3);
+    ("figure4", plain figure4);
+    ("figure5", plain figure5);
+    ("figure6", plain figure6);
+    ("scan", plain ablation_scan);
+    ("vectors", plain ablation_vectors);
+    ("gc", plain ablation_gc);
+    ("noftl", plain ablation_noftl);
+    ("vidmap", plain ablation_vidmap);
+    ("endurance", plain ablation_endurance);
+    ("contention", plain ablation_contention);
+    ("groupcommit", plain ablation_groupcommit);
     ("repl", ablation_repl);
     ("isolation", ablation_isolation);
     ("index", ablation_index);
     ("micro", micro);
-    ("structs", micro_structs);
+    ("structs", plain micro_structs);
     ("multicore", multicore_bench);
   ]
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* Flag filter: consume --full, --faults <seed>, --fault-profile <name>,
-     --metrics-out <path>, --trace-out <path>; whatever remains names the
-     experiments to run. A malformed value, an unknown flag or an unknown
-     experiment is fatal before anything runs. *)
-  let fault_seed = ref None in
-  let fault_profile = ref Flashsim.Faultdev.light in
-  let metrics_out = ref None in
-  let trace_out = ref None in
-  let sync_commit = ref true in
-  let commit_delay = ref 0.0 in
-  let usage fmt =
-    Printf.ksprintf
-      (fun msg ->
-        prerr_endline ("bench: " ^ msg);
-        exit 2)
-      fmt
-  in
-  let rec filter = function
-    | [] -> []
-    | "--full" :: rest ->
-        full := true;
-        filter rest
-    | "--commit-delay" :: s :: rest ->
-        (match float_of_string_opt s with
-        | Some d when d >= 0.0 -> commit_delay := d
-        | _ -> usage "--commit-delay needs a non-negative float, got %S" s);
-        filter rest
-    | "--synchronous-commit" :: s :: rest ->
-        (match s with
-        | "on" -> sync_commit := true
-        | "off" -> sync_commit := false
-        | _ -> usage "--synchronous-commit needs on or off, got %S" s);
-        filter rest
-    | "--faults" :: seed :: rest ->
-        (match int_of_string_opt seed with
-        | Some s -> fault_seed := Some s
-        | None -> usage "--faults needs an integer seed, got %S" seed);
-        filter rest
-    | "--fault-profile" :: name :: rest ->
-        (match Flashsim.Faultdev.profile_of_string name with
-        | Ok p -> fault_profile := p
-        | Error e -> usage "%s" e);
-        filter rest
-    | "--metrics-out" :: path :: rest ->
-        metrics_out := Some path;
-        filter rest
-    | "--bench-out" :: path :: rest ->
-        bench_out := Some path;
-        filter rest
-    | "--bench-baseline" :: path :: rest ->
-        bench_baseline := Some path;
-        filter rest
-    | "--trace-out" :: path :: rest ->
-        trace_out := Some path;
-        filter rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' ->
-        usage "unknown flag, or a flag without its value: %S" a
-    | a :: rest ->
-        if a <> "all" && not (List.mem_assoc a experiments) then
-          usage "unknown experiment %S; available: %s" a
-            (String.concat ", " (List.map fst experiments));
-        a :: filter rest
-  in
-  let args = filter args in
-  (match !fault_seed with
-  | Some seed ->
-      fault_override := Some (seed, !fault_profile);
+let main names full bench_out baseline (o : Cli.overlay) =
+  Option.iter
+    (fun seed ->
       Printf.printf "fault injection: seed %d, profile %s\n%!" seed
-        (Flashsim.Faultdev.profile_name !fault_profile)
-  | None -> ());
-  if (not !sync_commit) || !commit_delay > 0.0 then begin
-    commit_override := Some (!sync_commit, !commit_delay);
+        (Flashsim.Faultdev.profile_name o.fault_profile))
+    o.fault_seed;
+  if (not o.synchronous_commit) || o.commit_delay_s > 0.0 then
     Printf.printf "commit pipeline: synchronous_commit=%s commit_delay=%gs\n%!"
-      (if !sync_commit then "on" else "off")
-      !commit_delay
-  end;
-  if !metrics_out <> None || !trace_out <> None then begin
-    (* each run_tpcc overwrites the files; the surviving artifacts are
-       the last experiment's run, which is what a smoke invocation of a
-       single experiment wants *)
-    obs_override := Some (!metrics_out, !trace_out);
-    Option.iter (fun p -> Printf.printf "metrics -> %s\n%!" p) !metrics_out;
-    Option.iter (fun p -> Printf.printf "trace -> %s\n%!" p) !trace_out
-  end;
+      (if o.synchronous_commit then "on" else "off")
+      o.commit_delay_s;
+  (* each run overwrites the artifacts; the surviving files are the last
+     experiment's run, which is what a smoke invocation of a single
+     experiment wants *)
+  Option.iter (fun p -> Printf.printf "metrics -> %s\n%!" p) o.metrics_out;
+  Option.iter (fun p -> Printf.printf "trace -> %s\n%!" p) o.trace_out;
+  let ctx = { full; run = (fun s -> run_tpcc (Cli.fill_in o s)); baseline } in
   let chosen =
     List.concat_map
-      (fun a -> if a = "all" then List.map fst experiments else [ a ])
-      (if args = [] then [ "all" ] else args)
+      (fun n -> if n = "all" then experiments else [ (n, List.assoc n experiments) ])
+      (if names = [] then [ "all" ] else names)
   in
   let t0 = Sias_util.Monotime.now () in
-  List.iter
-    (fun name -> List.assoc name experiments ())
-    chosen;
+  let outcomes = List.map (fun (_, run) -> run ctx) chosen in
   let wall_s = Sias_util.Monotime.elapsed_since t0 in
   Printf.printf "\n(total wall time %.1f s%s)\n" wall_s
-    (if !full then ", full mode" else ", quick mode; pass --full for paper-scale parameters");
-  write_bench_json ~wall_s;
-  if !multicore_violations > 0 then begin
-    Printf.printf "FAIL: SI checker reported %d violations during the multicore bench\n"
-      !multicore_violations;
-    exit 1
-  end;
-  if !index_gate_failures > 0 then begin
-    Printf.printf
-      "FAIL: %d index-bench gate violation(s) -- SIAS/SIAS-V device writes \
-       must stay <= SI with the paged index\n"
-      !index_gate_failures;
-    exit 1
-  end
+    (if full then ", full mode" else ", quick mode; pass --full for paper-scale parameters");
+  Option.iter
+    (write_bench_json ~full ~baseline ~wall_s
+       (List.concat_map (fun o -> o.sections) outcomes))
+    bench_out;
+  match List.concat_map (fun o -> o.failures) outcomes with
+  | [] -> ()
+  | failures ->
+      List.iter print_endline failures;
+      exit 1
+
+let () =
+  let open Cmdliner in
+  let names =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) ("all" :: List.map fst experiments))) []
+      & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run, in order; all (the default) runs every one.")
+  in
+  let path name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc) in
+  Cli.eval
+    (Cmd.v
+       (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures and the ablation benches.")
+       Term.(
+         const main $ names
+         $ Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale parameters instead of quick mode.")
+         $ path "bench-out" "Write the machine-readable BENCH record to $(docv)."
+         $ path "bench-baseline"
+             "Embed the BENCH record at $(docv) and print micro speedups against it."
+         $ Cli.overlay))

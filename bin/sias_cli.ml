@@ -11,322 +11,6 @@ module W = Tpcc.Tpcc_workload
 module B = Flashsim.Blocktrace
 module C = Sias_txn.Contention
 
-let engine_conv =
-  let parse s =
-    match Mvcc.Engine.resolve s with
-    | Some (key, _) -> Ok key
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown engine %S; known engines: %s" s
-               (Mvcc.Engine.known_keys_hint ())))
-  in
-  let print fmt e = Format.pp_print_string fmt (engine_name e) in
-  Arg.conv (parse, print)
-
-let isolation_conv =
-  let parse s =
-    match Mvcc.Isolation.of_string s with
-    | Some l -> Ok (Mvcc.Isolation.to_string l)
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown isolation level %S; known levels: %s" s
-               (Mvcc.Isolation.known_keys_hint ())))
-  in
-  Arg.conv (parse, Format.pp_print_string)
-
-let device_conv =
-  let parse = function
-    | "ssd" -> Ok Ssd_single
-    | "hdd" -> Ok Hdd_single
-    | s when String.length s > 4 && String.sub s 0 4 = "ssd:" -> (
-        match int_of_string_opt (String.sub s 4 (String.length s - 4)) with
-        | Some blocks when blocks > 8 -> Ok (Ssd_sized blocks)
-        | _ -> Error (`Msg "ssd:<blocks> needs a positive block count"))
-    | "raid2" -> Ok (Ssd_raid 2)
-    | "raid6" -> Ok (Ssd_raid 6)
-    | s -> Error (`Msg (Printf.sprintf "unknown device %S (ssd|hdd|raid2|raid6)" s))
-  in
-  let print fmt = function
-    | Ssd_single -> Format.pp_print_string fmt "ssd"
-    | Ssd_sized b -> Format.fprintf fmt "ssd:%d" b
-    | Hdd_single -> Format.pp_print_string fmt "hdd"
-    | Ssd_raid n -> Format.fprintf fmt "raid%d" n
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(value & opt engine_conv "sias" & info [ "e"; "engine" ] ~doc:"Engine: si, si-cv, sias, sias-v.")
-
-let device_arg =
-  Arg.(value & opt device_conv Ssd_single & info [ "device" ] ~doc:"ssd, ssd:<blocks>, hdd, raid2, raid6.")
-
-let isolation_arg =
-  Arg.(
-    value
-    & opt isolation_conv "si"
-    & info [ "isolation" ]
-        ~doc:
-          "Isolation level: si (default), ssi (serializable) or wsi \
-           (write-snapshot).")
-
-let index_conv =
-  Arg.conv
-    ( (function
-      | "array" -> Ok "array"
-      | "paged" -> Ok "paged"
-      | s -> Error (`Msg (Printf.sprintf "unknown index kind %S (array|paged)" s))),
-      Format.pp_print_string )
-
-let index_arg =
-  Arg.(
-    value
-    & opt index_conv "array"
-    & info [ "index" ]
-        ~doc:
-          "Index implementation: array (in-memory node images rebuilt from \
-           the heap at recovery; the default and the determinism oracle) or \
-           paged (WAL-logged slotted B+Tree pages resident in the buffer \
-           pool, replayed byte-exact at recovery).")
-
-let warehouses_arg =
-  Arg.(value & opt int 20 & info [ "w"; "warehouses" ] ~doc:"TPC-C warehouses.")
-
-let duration_arg =
-  Arg.(value & opt float 30.0 & info [ "d"; "duration" ] ~doc:"Simulated seconds.")
-
-let buffer_arg =
-  Arg.(value & opt int 2048 & info [ "buffer" ] ~doc:"Buffer pool pages (8 KB each).")
-
-let flush_conv =
-  Arg.conv
-    ( (function
-      | "t1" -> Ok T1
-      | "t2" -> Ok T2
-      | s -> Error (`Msg (Printf.sprintf "unknown flush policy %S (t1|t2)" s))),
-      fun fmt f -> Format.pp_print_string fmt (match f with T1 -> "t1" | T2 -> "t2") )
-
-let flush_arg =
-  Arg.(value & opt flush_conv T2 & info [ "flush" ] ~doc:"t1 (bgwriter) or t2 (checkpoint).")
-
-let gc_arg =
-  Arg.(
-    value
-    & opt (some float) (Some 10.0)
-    & info [ "gc" ] ~doc:"GC interval (sim s); 0 disables.")
-
-let scale_arg =
-  Arg.(value & opt int 100 & info [ "scale-div" ] ~doc:"Cardinality divisor vs spec TPC-C.")
-
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
-
-let fault_profile_conv =
-  let parse s =
-    match Flashsim.Faultdev.profile_of_string s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  let print fmt p = Format.pp_print_string fmt (Flashsim.Faultdev.profile_name p) in
-  Arg.conv (parse, print)
-
-let faults_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "faults" ]
-        ~doc:"Inject device faults (transient read errors, bit rot, torn writes) seeded by $(docv)."
-        ~docv:"SEED")
-
-let fault_profile_arg =
-  Arg.(
-    value
-    & opt fault_profile_conv Flashsim.Faultdev.light
-    & info [ "fault-profile" ] ~doc:"Fault rates: none, light or heavy.")
-
-let policy_conv =
-  let parse s =
-    match C.policy_of_string s with Ok p -> Ok p | Error e -> Error (`Msg e)
-  in
-  let print fmt p = Format.pp_print_string fmt (C.policy_to_string p) in
-  Arg.conv (parse, print)
-
-let policy_arg =
-  Arg.(
-    value
-    & opt policy_conv C.No_wait
-    & info [ "conflict-policy" ]
-        ~doc:"Lock-conflict policy: no-wait, wait-die, wound-wait or detect.")
-
-let retries_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "retries" ]
-        ~doc:"Resubmit conflict-aborted transactions up to $(docv) times (0 = off).")
-
-let max_inflight_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-inflight" ]
-        ~doc:"Admission cap on concurrently running transactions.")
-
-let check_si_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "check-si" ]
-        ~doc:"Verify snapshot-isolation invariants online; exit 1 on violation.")
-
-let terminals_arg =
-  Arg.(value & opt int 1 & info [ "terminals" ] ~doc:"Terminals per warehouse.")
-
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ]
-        ~doc:"Write run-phase metrics as Prometheus text to $(docv)." ~docv:"PATH")
-
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ]
-        ~doc:
-          "Write a Chrome trace-event JSON of the run phase to $(docv) (open \
-           in Perfetto or chrome://tracing)."
-        ~docv:"PATH")
-
-let stats_interval_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "stats-interval" ]
-        ~doc:"Print a progress line to stderr every $(docv) simulated seconds."
-        ~docv:"SECONDS")
-
-let onoff_conv =
-  Arg.conv
-    ( (function
-      | "on" -> Ok true
-      | "off" -> Ok false
-      | s -> Error (`Msg (Printf.sprintf "expected on or off, got %S" s))),
-      fun fmt b -> Format.pp_print_string fmt (if b then "on" else "off") )
-
-let sync_commit_arg =
-  Arg.(
-    value
-    & opt onoff_conv true
-    & info [ "synchronous-commit" ]
-        ~doc:
-          "off acks commits at WAL append and trickle-flushes in the \
-           background (a crash may lose the last instants of acked work, \
-           never corrupt the log).")
-
-let commit_delay_arg =
-  Arg.(
-    value
-    & opt float 0.0
-    & info [ "commit-delay" ]
-        ~doc:
-          "Group commits arriving within $(docv) simulated seconds behind \
-           one shared fsync (0 = per-commit fsync)."
-        ~docv:"SECONDS")
-
-let repl_mode_conv =
-  let parse = function
-    | "off" -> Ok None
-    | s -> (
-        match Sias_repl.Repl.mode_of_string s with
-        | Ok m -> Ok (Some m)
-        | Error e -> Error (`Msg (e ^ " (or off)")))
-  in
-  let print fmt = function
-    | None -> Format.pp_print_string fmt "off"
-    | Some m -> Format.pp_print_string fmt (Sias_repl.Repl.mode_name m)
-  in
-  Arg.conv (parse, print)
-
-let repl_arg =
-  Arg.(
-    value
-    & opt repl_mode_conv None
-    & info [ "repl" ]
-        ~doc:
-          "Ship the WAL to a hot standby: off (default), async (ship \
-           after local fsync) or remote-flush (commits wait for the \
-           standby flush acknowledgement).")
-
-let repl_link_conv =
-  let parse s =
-    match Sias_repl.Link.profile_of_string s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  let print fmt p = Format.pp_print_string fmt (Sias_repl.Link.profile_name p) in
-  Arg.conv (parse, print)
-
-let repl_link_arg =
-  Arg.(
-    value
-    & opt repl_link_conv Sias_repl.Link.clean
-    & info [ "repl-link" ]
-        ~doc:"Replication-link fault profile: clean, wan, lossy or chaos.")
-
-let repl_seed_arg =
-  Arg.(
-    value
-    & opt int 7
-    & info [ "repl-seed" ]
-        ~doc:"Seed for the replication link's deterministic fault stream.")
-
-let wal_device_arg =
-  Arg.(
-    value
-    & opt (some device_conv) None
-    & info [ "wal-device" ]
-        ~doc:
-          "Put the WAL on its own modeled device (ssd, ssd:<blocks>, hdd, \
-           raid2, raid6) so commit fsyncs cost simulated time; default \
-           in-memory sink.")
-
-let mk_setup engine isolation index device warehouses duration_s buffer_pages flush gc scale_div seed
-    fault_seed fault_profile policy retries max_inflight check_si terminals
-    metrics_out trace_out stats_interval_s sync_commit commit_delay wal_device
-    repl_mode repl_link repl_seed keep =
-  {
-    (default_setup ~engine ~warehouses) with
-    isolation;
-    index;
-    device;
-    duration_s;
-    buffer_pages;
-    flush;
-    gc_interval_s = (match gc with Some g when g > 0.0 -> Some g | _ -> None);
-    scale_div;
-    seed;
-    fault_seed;
-    fault_profile;
-    contention = { C.default_settings with C.policy; max_inflight };
-    retries;
-    (* serializable levels always run under the online checker: the whole
-       point of ssi/wsi is a certifiable absence of cycles *)
-    check_si = (check_si || isolation <> "si");
-    terminals_per_warehouse = terminals;
-    metrics_out;
-    trace_out;
-    stats_interval_s;
-    synchronous_commit = sync_commit;
-    commit_delay_s = commit_delay;
-    wal_device;
-    repl_mode;
-    repl_link;
-    repl_seed;
-    keep_trace_records = keep;
-  }
-
 let report_obs o =
   Option.iter
     (fun p -> Format.printf "metrics written to %s@." p)
@@ -361,10 +45,16 @@ let report_contention o =
       end;
       if Mvcc.Sichecker.violation_count c > 0 then exit 1
 
+let report_tail o =
+  report_obs o;
+  report_commit o;
+  report_repl o;
+  report_contention o
+
 let domains_arg =
   Arg.(
     value
-    & opt int 1
+    & opt (Cli.at_least 1 int) 1
     & info [ "domains" ]
         ~doc:
           "Shard the run across $(docv) OCaml domains (shared-nothing; warehouses \
@@ -377,45 +67,35 @@ let domains_arg =
    meaningful per shard are honored; device/fault/replication topology
    flags are single-domain concerns and rejected loudly rather than
    silently ignored. *)
-let reject_single_domain_flags ~device ~fault_seed ~repl ~wal_device ~index =
-  let bad = ref [] in
-  if device <> Ssd_single then bad := "--device" :: !bad;
-  if fault_seed <> None then bad := "--faults" :: !bad;
-  if repl <> None then bad := "--repl" :: !bad;
-  if wal_device <> None then bad := "--wal-device" :: !bad;
-  if index <> "array" then bad := "--index paged" :: !bad;
-  match !bad with
-  | [] -> ()
-  | flags ->
-      Format.printf "--domains > 1 does not support: %s@."
-        (String.concat ", " flags);
-      exit 2
-
-let run_multicore ~engine ~isolation ~domains ~warehouses ~duration ~buffer ~gc
-    ~scale ~seed ~check_si ~terminals =
+let run_multicore ~domains s =
   let module MC = Tpcc.Tpcc_multicore in
-  let base =
-    {
-      (W.default_config ~warehouses) with
-      W.scale = Tpcc.Tpcc_schema.scaled ~div:scale ();
-      duration_s = duration;
-      terminals_per_warehouse = terminals;
-      seed;
-      gc_interval_s = (match gc with Some g when g > 0.0 -> Some g | _ -> None);
-    }
+  let unsupported =
+    List.filter_map
+      (fun (flag, bad) -> if bad then Some flag else None)
+      [
+        ("--index paged", s.index <> "array");
+        ("--wal-device", s.wal_device <> None);
+        ("--repl", s.repl_mode <> None);
+        ("--faults", s.fault_seed <> None);
+        ("--device", s.device <> Ssd_single);
+      ]
   in
-  let cfg =
-    {
-      MC.engine;
-      domains;
-      base;
-      isolation = Mvcc.Isolation.of_string_exn isolation;
-      buffer_pages = buffer;
-      bufpool_shards = Stdlib.min 4 buffer;
-      check = check_si || isolation <> "si";
-    }
+  if unsupported <> [] then begin
+    Format.printf "--domains > 1 does not support: %s@." (String.concat ", " unsupported);
+    exit 2
+  end;
+  let r =
+    MC.run
+      {
+        MC.engine = s.engine;
+        domains;
+        base = workload_config s;
+        isolation = Mvcc.Isolation.of_string_exn s.isolation;
+        buffer_pages = s.buffer_pages;
+        bufpool_shards = Stdlib.min 4 s.buffer_pages;
+        check = s.check_si;
+      }
   in
-  let r = MC.run cfg in
   Format.printf "%a@." MC.pp_result r;
   if r.MC.violations > 0 then begin
     Format.printf "FAIL: %d snapshot-isolation violations@." r.MC.violations;
@@ -423,27 +103,10 @@ let run_multicore ~engine ~isolation ~domains ~warehouses ~duration ~buffer ~gc
   end
 
 let run_cmd =
-  let run engine isolation index device warehouses duration buffer flush gc scale seed
-      fault_seed fault_profile policy retries max_inflight check_si terminals
-      metrics_out trace_out stats_interval sync_commit commit_delay wal_device
-      repl repl_link repl_seed domains =
-    if domains < 1 then begin
-      Format.printf "--domains must be >= 1@.";
-      exit 2
-    end;
-    if domains > 1 then begin
-      reject_single_domain_flags ~device ~fault_seed ~repl ~wal_device ~index;
-      run_multicore ~engine ~isolation ~domains ~warehouses ~duration ~buffer ~gc
-        ~scale ~seed ~check_si ~terminals
-    end
+  let run s domains =
+    if domains > 1 then run_multicore ~domains s
     else
-    let o =
-      run_tpcc
-        (mk_setup engine isolation index device warehouses duration buffer flush gc scale
-           seed fault_seed fault_profile policy retries max_inflight check_si
-           terminals metrics_out trace_out stats_interval sync_commit commit_delay
-           wal_device repl repl_link repl_seed false)
-    in
+    let o = run_tpcc s in
     Format.printf "%a@.@." pp_output_summary o;
     Format.printf "%a@." W.pp_result o.result;
     List.iter
@@ -456,7 +119,7 @@ let run_cmd =
     Format.printf "buffer: %d hits, %d misses, %d evictions, %d flushes@."
       o.buf_stats.Sias_storage.Bufpool.hits o.buf_stats.Sias_storage.Bufpool.misses
       o.buf_stats.Sias_storage.Bufpool.evictions o.buf_stats.Sias_storage.Bufpool.flushes;
-    if fault_seed <> None then
+    if s.fault_seed <> None then
       Format.printf
         "reliability: %d read retries, %d checksum failures, %d pages repaired, %d torn@."
         o.buf_stats.Sias_storage.Bufpool.read_retries
@@ -464,36 +127,18 @@ let run_cmd =
         o.buf_stats.Sias_storage.Bufpool.pages_repaired
         o.buf_stats.Sias_storage.Bufpool.torn_pages;
     List.iter (fun (k, v) -> Format.printf "device: %-28s %.2f@." k v) o.device_info;
-    report_obs o;
-    report_commit o;
-    report_repl o;
-    report_contention o
+    report_tail o
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a TPC-C benchmark and report throughput, latency and I/O.")
-    Term.(
-      const run $ engine_arg $ isolation_arg $ index_arg $ device_arg $ warehouses_arg $ duration_arg $ buffer_arg
-      $ flush_arg $ gc_arg $ scale_arg $ seed_arg $ faults_arg $ fault_profile_arg
-      $ policy_arg $ retries_arg $ max_inflight_arg $ check_si_arg $ terminals_arg
-      $ metrics_out_arg $ trace_out_arg $ stats_interval_arg $ sync_commit_arg
-      $ commit_delay_arg $ wal_device_arg $ repl_arg $ repl_link_arg $ repl_seed_arg
-      $ domains_arg)
+    Term.(const run $ Cli.setup $ domains_arg)
 
 let trace_cmd =
   let csv_arg =
     Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Write the trace to $(docv).")
   in
-  let run engine isolation index device warehouses duration buffer flush gc scale seed
-      fault_seed fault_profile policy retries max_inflight check_si terminals
-      metrics_out trace_out stats_interval sync_commit commit_delay wal_device
-      repl repl_link repl_seed csv =
-    let o =
-      run_tpcc
-        (mk_setup engine isolation index device warehouses duration buffer flush gc scale
-           seed fault_seed fault_profile policy retries max_inflight check_si
-           terminals metrics_out trace_out stats_interval sync_commit commit_delay
-           wal_device repl repl_link repl_seed true)
-    in
+  let run s csv =
+    let o = run_tpcc { s with keep_trace_records = true } in
     print_endline (B.render_scatter o.trace);
     Format.printf "reads %d (%.1f MB) | writes %d (%.1f MB)@." (B.read_count o.trace)
       o.run_read_mb (B.write_count o.trace) o.run_write_mb;
@@ -504,20 +149,11 @@ let trace_cmd =
         output_string oc (B.to_csv o.trace);
         close_out oc;
         Format.printf "trace written to %s@." path);
-    report_obs o;
-    report_commit o;
-    report_repl o;
-    report_contention o
+    report_tail o
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Run a workload and render its block trace (paper Figures 3/4).")
-    Term.(
-      const run $ engine_arg $ isolation_arg $ index_arg $ device_arg $ warehouses_arg $ duration_arg $ buffer_arg
-      $ flush_arg $ gc_arg $ scale_arg $ seed_arg $ faults_arg $ fault_profile_arg
-      $ policy_arg $ retries_arg $ max_inflight_arg $ check_si_arg $ terminals_arg
-      $ metrics_out_arg $ trace_out_arg $ stats_interval_arg $ sync_commit_arg
-      $ commit_delay_arg $ wal_device_arg $ repl_arg $ repl_link_arg $ repl_seed_arg
-      $ csv_arg)
+    Term.(const run $ Cli.setup $ csv_arg)
 
 (* ---- chaos: crash-schedule exploration + out-of-space smoke ---- *)
 
@@ -525,17 +161,24 @@ let chaos_cmd =
   let module Explorer = Sias_chaos.Explorer in
   let module Chaosrun = Harness.Chaosrun in
   let module Commitpipe = Sias_wal.Commitpipe in
+  let commit_modes =
+    [
+      ("sync", Commitpipe.Sync);
+      ("group", Commitpipe.Group { delay = 0.005 });
+      ("async", Commitpipe.Async { interval = 0.01; max_bytes = 1 lsl 14 });
+    ]
+  in
   let engines_arg =
     Arg.(
       value
-      & opt (list string) [ "si"; "si-cv"; "sias"; "sias-v" ]
+      & opt (list Cli.engine_conv) [ "si"; "si-cv"; "sias"; "sias-v" ]
       & info [ "e"; "engines" ] ~docv:"ENGINES"
           ~doc:"Comma-separated engines to explore.")
   in
   let modes_arg =
     Arg.(
       value
-      & opt (list string) [ "sync"; "group"; "async" ]
+      & opt (list (enum (List.map (fun (m, _) -> (m, m)) commit_modes))) [ "sync"; "group"; "async" ]
       & info [ "modes" ] ~docv:"MODES"
           ~doc:"Commit modes to cross with the engines (sync, group, async).")
   in
@@ -564,12 +207,6 @@ let chaos_cmd =
   in
   let run engines isolation index modes standby budget full oos =
     let failures = ref 0 in
-    let mode_of = function
-      | "sync" -> Commitpipe.Sync
-      | "group" -> Commitpipe.Group { delay = 0.005 }
-      | "async" -> Commitpipe.Async { interval = 0.01; max_bytes = 1 lsl 14 }
-      | m -> raise (Invalid_argument ("unknown commit mode " ^ m))
-    in
     let cfg ?(depth2 = true) () =
       {
         Explorer.hits_per_point = 2;
@@ -599,7 +236,8 @@ let chaos_cmd =
             report
               (Printf.sprintf "%s/%s" e m)
               (Chaosrun.explore ~cfg:(cfg ())
-                 (Chaosrun.config ~isolation ~index ~commit_mode:(mode_of m) e)))
+                 (Chaosrun.config ~isolation ~index
+                    ~commit_mode:(List.assoc m commit_modes) e)))
           modes;
         if standby then
           report (e ^ "/standby")
@@ -644,9 +282,9 @@ let chaos_cmd =
           degradation scenarios; non-zero exit if any schedule fails to \
           recover to the model prefix.")
     Term.(
-      const run $ engines_arg $ isolation_arg $ index_arg $ modes_arg $ standby_arg
+      const run $ engines_arg $ Cli.isolation $ Cli.index $ modes_arg $ standby_arg
       $ budget_arg $ full_arg $ oos_arg)
 
 let () =
   let info = Cmd.info "sias_cli" ~doc:"SIAS: snapshot-isolation append storage workbench." in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; trace_cmd; chaos_cmd ]))
+  Cli.eval (Cmd.group info [ run_cmd; trace_cmd; chaos_cmd ])

@@ -42,11 +42,7 @@ let config ?(isolation = "si") ?(index = "array")
     ?(seed = 11) engine =
   { engine; isolation; index; commit_mode; standby; ops; seed }
 
-let index_kind = function
-  | "array" -> `Array
-  | "paged" -> `Paged
-  | other ->
-      invalid_arg (Printf.sprintf "unknown index kind %S (array or paged)" other)
+let index_kind s = Result.fold ~ok:Fun.id ~error:invalid_arg (Mvcc.Index.kind_of_string s)
 
 (* Deterministic op stream: a plain LCG, so every replay of the same
    config reaches every crash point the census saw, in the same order. *)

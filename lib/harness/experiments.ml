@@ -56,10 +56,6 @@ type setup = {
           activates the bus, which golden runs must not do) *)
 }
 
-let fault_override : (int * Flashsim.Faultdev.profile) option ref = ref None
-let obs_override : (string option * string option) option ref = ref None
-let commit_override : (bool * float) option ref = ref None
-
 let default_setup ~engine ~warehouses =
   {
     engine;
@@ -151,24 +147,23 @@ let flush_policy = function
   | T1 -> Bgwriter.T1_bgwriter { interval = 0.2; max_pages = 100 }
   | T2 -> Bgwriter.T2_checkpoint_only
 
+let workload_config setup =
+  {
+    (W.default_config ~warehouses:setup.warehouses) with
+    W.scale = S.scaled ~div:setup.scale_div ();
+    duration_s = setup.duration_s;
+    terminals_per_warehouse = setup.terminals_per_warehouse;
+    think_time_s = setup.think_time_s;
+    seed = setup.seed;
+    gc_interval_s = setup.gc_interval_s;
+    retry =
+      (if setup.retries > 0 then
+         Some (Sias_txn.Contention.retry_config ~max_attempts:(setup.retries + 1) ())
+       else None);
+  }
+
 (* For a RAID, the logical trace is at the RAID device; member devices
    carry their own physical traces. Measurement uses the top device. *)
-
-let engine_module key : (module Mvcc.Engine.S) =
-  match Mvcc.Engine.find key with
-  | Some m -> m
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown engine %S; known engines: %s" key
-           (Mvcc.Engine.known_keys_hint ()))
-
-let isolation_level key : Mvcc.Isolation.level =
-  match Mvcc.Isolation.of_string key with
-  | Some l -> l
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown isolation level %S; known levels: %s" key
-           (Mvcc.Isolation.known_keys_hint ()))
 
 (* Periodic progress line on stderr, driven by simulated time: every
    event is a chance to notice the sim clock crossed the next tick. *)
@@ -198,30 +193,7 @@ let write_text_file path contents =
   close_out oc
 
 let run_tpcc setup =
-  let setup =
-    match (!fault_override, setup.fault_seed) with
-    | Some (seed, profile), None ->
-        { setup with fault_seed = Some seed; fault_profile = profile }
-    | _ -> setup
-  in
-  let setup =
-    match !commit_override with
-    | Some (sync_commit, delay)
-      when setup.synchronous_commit && setup.commit_delay_s = 0.0 ->
-        { setup with synchronous_commit = sync_commit; commit_delay_s = delay }
-    | _ -> setup
-  in
-  let setup =
-    match !obs_override with
-    | Some (m, t) ->
-        {
-          setup with
-          metrics_out = (if setup.metrics_out = None then m else setup.metrics_out);
-          trace_out = (if setup.trace_out = None then t else setup.trace_out);
-        }
-    | None -> setup
-  in
-  let (module E : Mvcc.Engine.S) = engine_module setup.engine in
+  let _, (module E : Mvcc.Engine.S) = Mvcc.Engine.resolve_exn setup.engine in
   let module WE = W.Make (E) in
   let faults =
     Option.map
@@ -245,12 +217,7 @@ let run_tpcc setup =
   in
   let bus = Bus.create () in
   let index_kind =
-    match setup.index with
-    | "array" -> `Array
-    | "paged" -> `Paged
-    | other ->
-        invalid_arg
-          (Printf.sprintf "unknown index kind %S (array or paged)" other)
+    Result.fold ~ok:Fun.id ~error:invalid_arg (Mvcc.Index.kind_of_string setup.index)
   in
   let db =
     Db.create ~bus ~device ?wal_device ?faults ~buffer_pages:setup.buffer_pages
@@ -260,7 +227,7 @@ let run_tpcc setup =
       ~os_cache_interval:30.0 ~os_cache_pages:(setup.buffer_pages / 4)
       ~vidmap_paged:setup.vidmap_paged ~contention:setup.contention
       ~commit_mode
-      ~isolation:(isolation_level setup.isolation)
+      ~isolation:(Mvcc.Isolation.of_string_exn setup.isolation)
       ~index:index_kind ()
   in
   let checker = if setup.check_si then Some (Mvcc.Sichecker.attach bus) else None in
@@ -308,23 +275,7 @@ let run_tpcc setup =
             E.recover seng);
         Some r
   in
-  let cfg =
-    {
-      (W.default_config ~warehouses:setup.warehouses) with
-      W.scale = S.scaled ~div:setup.scale_div ();
-      duration_s = setup.duration_s;
-      terminals_per_warehouse = setup.terminals_per_warehouse;
-      think_time_s = setup.think_time_s;
-      seed = setup.seed;
-      gc_interval_s = setup.gc_interval_s;
-      retry =
-        (if setup.retries > 0 then
-           Some
-             (Sias_txn.Contention.retry_config
-                ~max_attempts:(setup.retries + 1) ())
-         else None);
-    }
-  in
+  let cfg = workload_config setup in
   WE.load eng tables cfg;
   (* settle: persist the loaded state once, as a freshly started server
      would, then measure only the benchmark run *)

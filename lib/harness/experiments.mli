@@ -94,24 +94,14 @@ type setup = {
           runs must not do *)
 }
 
-val fault_override : (int * Flashsim.Faultdev.profile) option ref
-(** When set, {!run_tpcc} applies this (seed, profile) to any setup that
-    does not carry its own [fault_seed] — lets the benchmark driver turn
-    faults on globally from the command line. *)
-
-val obs_override : (string option * string option) option ref
-(** When set, (metrics_out, trace_out) applied to any setup that does not
-    carry its own — lets the benchmark driver request artifacts globally
-    from the command line. *)
-
-val commit_override : (bool * float) option ref
-(** When set, (synchronous_commit, commit_delay_s) applied to any setup
-    still carrying the defaults — lets the benchmark driver select the
-    commit pipeline globally from the command line. *)
-
 val default_setup : engine:string -> warehouses:int -> setup
 (** Single SSD, T2, 2048 buffer pages, 1/100 scale, 60 s, 1 terminal/WH,
     1 s think time; no observability outputs. *)
+
+val workload_config : setup -> Tpcc.Tpcc_workload.config
+(** The TPC-C driver configuration a setup asks for (warehouses, scale,
+    duration, terminals, think time, seed, GC interval, client retries);
+    also the per-domain base of a sharded multicore run. *)
 
 (* Index-vs-heap split of the run's page-flush traffic plus the index's
    logical volume; the ratio ix_flush_mb / ix_logical_mb is the index

@@ -57,6 +57,11 @@ end
 
 type t = Packed : (module S with type i = 'a) * 'a * int -> t
 
+let kind_of_string = function
+  | "array" -> Ok `Array
+  | "paged" -> Ok `Paged
+  | s -> Error (Printf.sprintf "unknown index kind %S (array|paged)" s)
+
 let create db =
   let rel = Db.alloc_rel db in
   match db.Db.index_kind with

@@ -40,6 +40,10 @@ end
 type t = Packed : (module S with type i = 'a) * 'a * int -> t
 (** Implementation, value, and the relation id its pages live in. *)
 
+val kind_of_string : string -> ([ `Array | `Paged ], string) result
+(** ["array"] or ["paged"], the spelling every command line and setup
+    uses; anything else is an error naming both. *)
+
 val create : Db.t -> t
 (** A fresh index on a freshly allocated relation, implementation chosen
     by the context's [index_kind]. Rel-allocation order is identical to

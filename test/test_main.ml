@@ -33,4 +33,5 @@ let () =
       ("obs", Test_obs.suite);
       ("chaos", Test_chaos.suite);
       ("multicore", Test_multicore.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -4,7 +4,7 @@ let name = "SIAS-V"
 let placement = Heapfile.Append_only
 let capacity = 4
 
-(* ---------------- vector codec ----------------
+(* ---------------- the encoded vector ----------------
 
    [0..7]   vid (int64)
    [8..9]   count (u16)
@@ -14,54 +14,20 @@ let capacity = 4
 
    Flags byte: bit 0 = tombstone; bits 1-2 = creator hint
    ({!Tuple.Hint}), patched lazily on first visibility resolution and
-   preserved across re-appends so later readers skip the CLOG. *)
+   preserved across re-appends so later readers skip the CLOG.
 
+   The store never decodes a vector whole. A record is named by its
+   offset in the item; the walker below steps from record to record by
+   the length field, reads the fixed-offset fields in place and decodes
+   only the row a caller returns. Writes splice: a new item is the new
+   header and record followed by record bytes copied verbatim, which is
+   exactly what re-encoding the decoded records would produce. *)
+
+let header_size = 18
 let hint_shift = 1
 
-type version = {
-  v_create : int;
-  v_seq : int;
-  v_tombstone : bool;
-  v_hint : int; (* {!Tuple.Hint} value for [v_create]; none = unknown *)
-  v_flags_off : int; (* flags-byte offset within the decoded item; -1 if fresh *)
-  v_row : Value.t array;
-}
-
-type vector = {
-  vec_vid : int;
-  overflow : Tid.t;
-  versions : version array; (* newest first; length = occupancy *)
-}
-
-(* First version satisfying [p], scanning newest-first. *)
-let find_version p versions =
-  let n = Array.length versions in
-  let rec go i =
-    if i >= n then None
-    else
-      let v = Array.unsafe_get versions i in
-      if p v then Some v else go (i + 1)
-  in
-  go 0
-
-let encode_vector vec =
-  let buf = Buffer.create 256 in
-  Buffer.add_int64_le buf (Int64.of_int vec.vec_vid);
-  Buffer.add_uint16_le buf (Array.length vec.versions);
-  Buffer.add_int64_le buf
-    (Int64.of_int (if Tid.is_invalid vec.overflow then 0 else Tid.to_int vec.overflow + 1));
-  Array.iter
-    (fun v ->
-      Buffer.add_int64_le buf (Int64.of_int v.v_create);
-      Buffer.add_int32_le buf (Int32.of_int v.v_seq);
-      Buffer.add_uint8 buf ((if v.v_tombstone then 1 else 0) lor (v.v_hint lsl hint_shift));
-      let row = Value.encode_row v.v_row in
-      Buffer.add_int32_le buf (Int32.of_int (Bytes.length row));
-      Buffer.add_bytes buf row)
-    vec.versions;
-  Buffer.to_bytes buf
-
 let item_vid b = Int64.to_int (Bytes.get_int64_le b 0)
+let count b = Bytes.get_uint16_le b 8
 
 let older b =
   let ov = Int64.to_int (Bytes.get_int64_le b 10) in
@@ -72,41 +38,76 @@ let older b =
 let set_older b tid =
   Bytes.set_int64_le b 10 (Int64.of_int (if Tid.is_invalid tid then 0 else Tid.to_int tid + 1))
 
-let decode_vector b =
-  let count = Bytes.get_uint16_le b 8 in
-  let pos = ref 18 in
-  (* explicit loop: decoding must advance [pos] strictly in record order *)
-  let decode_one () =
-    let v_create = Int64.to_int (Bytes.get_int64_le b !pos) in
-    let v_seq = Int32.to_int (Bytes.get_int32_le b (!pos + 8)) in
-    let v_flags_off = !pos + 12 in
-    let flags = Bytes.get_uint8 b v_flags_off in
-    let len = Int32.to_int (Bytes.get_int32_le b (!pos + 13)) in
-    let v_row = Value.decode_row b ~pos:(!pos + 17) in
-    pos := !pos + 17 + len;
-    {
-      v_create;
-      v_seq;
-      v_tombstone = flags land 1 = 1;
-      v_hint = (flags lsr hint_shift) land 3;
-      v_flags_off;
-      v_row;
-    }
-  in
-  let versions =
-    if count = 0 then [||]
-    else begin
-      let arr = Array.make count (decode_one ()) in
-      for i = 1 to count - 1 do
-        arr.(i) <- decode_one ()
-      done;
-      arr
-    end
-  in
-  { vec_vid = item_vid b; overflow = older b; versions }
+(* Fields of the record at offset [p]. *)
+let create b p = Int64.to_int (Bytes.get_int64_le b p)
+let seq b p = Int32.to_int (Bytes.get_int32_le b (p + 8))
+let flags_off p = p + 12
+let tombstone b p = Bytes.get_uint8 b (flags_off p) land 1 = 1
+let hint b p = (Bytes.get_uint8 b (flags_off p) lsr hint_shift) land 3
+let next b p = p + 17 + Int32.to_int (Bytes.get_int32_le b (p + 13))
+let row_at b p = Value.decode_row b ~pos:(p + 17)
 
-let stamps item =
-  Array.to_list (Array.map (fun v -> (v.v_create, v.v_seq)) (decode_vector item).versions)
+(* The record walker. [find b pred] is the offset of the first record
+   satisfying [pred], newest first, or -1; [fold] visits every record. *)
+let find b pred =
+  let n = count b in
+  let rec go i p = if i >= n then -1 else if pred b p then p else go (i + 1) (next b p) in
+  go 0 header_size
+
+let fold b f acc =
+  let n = count b in
+  let rec go i p acc = if i >= n then acc else go (i + 1) (next b p) (f acc p) in
+  go 0 header_size acc
+
+(* One encoded record holding the encoded [row], with no hint. *)
+let record ~create ~seq ~tombstone row =
+  let len = Bytes.length row in
+  let r = Bytes.create (17 + len) in
+  Bytes.set_int64_le r 0 (Int64.of_int create);
+  Bytes.set_int32_le r 8 (Int32.of_int seq);
+  Bytes.set_uint8 r (flags_off 0)
+    ((if tombstone then 1 else 0) lor (Tuple.Hint.none lsl hint_shift));
+  Bytes.set_int32_le r 13 (Int32.of_int len);
+  Bytes.blit row 0 r 17 len;
+  r
+
+let whole r = (r, 0, Bytes.length r)
+
+(* A vector item: the header, then the bytes of each [(src, off, len)]
+   segment of encoded records, verbatim. *)
+let assemble ~vid ~count ~overflow segments =
+  let b = Bytes.create (List.fold_left (fun acc (_, _, len) -> acc + len) header_size segments) in
+  Bytes.set_int64_le b 0 (Int64.of_int vid);
+  Bytes.set_uint16_le b 8 count;
+  set_older b overflow;
+  ignore
+    (List.fold_left
+       (fun dst (src, off, len) ->
+         Bytes.blit src off b dst len;
+         dst + len)
+       header_size segments);
+  b
+
+(* [cur] with the record [r] prepended: the header is rewritten and the
+   old records follow unchanged. *)
+let splice cur r =
+  assemble ~vid:(item_vid cur) ~count:(count cur + 1) ~overflow:(older cur)
+    [ whole r; (cur, header_size, Bytes.length cur - header_size) ]
+
+(* A vector [vid] holding the first [n] records along [chain] (newest
+   first, [n] at most their total), copied verbatim; no overflow. *)
+let prefix ~vid chain n =
+  let rec segments n = function
+    | [] -> []
+    | _ when n = 0 -> []
+    | b :: rest ->
+        let k = Stdlib.min n (count b) in
+        let rec skip i p = if i = k then p else skip (i + 1) (next b p) in
+        (b, header_size, skip 0 header_size - header_size) :: segments (n - k) rest
+  in
+  assemble ~vid ~count:n ~overflow:Tid.invalid (segments n chain)
+
+let stamps item = List.rev (fold item (fun acc p -> (create item p, seq item p) :: acc) [])
 
 (* ---------------- store ---------------- *)
 
@@ -118,18 +119,15 @@ let vidmap = paged_vidmap
 (* overlapping writers are reported by the vector walk itself *)
 let probe_writes = false
 
-type hit = version
+(* A visible version: its identity and its decoded row. *)
+type hit = { h_create : int; h_seq : int; h_row : Value.t array }
 
-let row v = v.v_row
+let row h = h.h_row
 
-let fetch_vector t table tid =
+let fetch t table tid =
   t.store.fetches <- t.store.fetches + 1;
   Db.charge_cpu t.db 1;
-  match Heapfile.read table.heap tid with
-  | None -> None
-  | Some item -> Some (decode_vector item)
-
-let append_vector t table ~xid vec = append_item t table ~xid (encode_vector vec)
+  Heapfile.read table.heap tid
 
 (* First version visible to the snapshot, scanning newest-first through
    the vector and its overflow chain. *)
@@ -138,37 +136,34 @@ let visible t txn table vid =
   | None -> None
   | Some entry ->
       t.store.reads <- t.store.reads + 1;
+      let sees tid b p =
+        let xid = create b p in
+        Visibility.creator_visible_fast t.db ~heap:table.heap ~tid ~off:(flags_off p)
+          ~shift:hint_shift txn.Txn.snapshot ~hint:(hint b p) ~xid
+        || begin
+             (* a skipped vector entry names an overlapping writer of
+                this data item in the co-located lineage — under
+                serializable mode that is an rw antidependency, no
+                lock-table probe needed *)
+             if t.track then Db.note_lineage_writer t.db ~reader:txn.Txn.xid ~writer:xid;
+             false
+           end
+      in
       let rec scan tid =
         if Tid.is_invalid tid then None
         else
-          match fetch_vector t table tid with
+          match fetch t table tid with
           | None -> None
-          | Some vec ->
-              let n = Array.length vec.versions in
-              let rec find i =
-                if i >= n then scan vec.overflow
-                else
-                  let v = Array.unsafe_get vec.versions i in
-                  if
-                    Visibility.creator_visible_fast t.db ~heap:table.heap ~tid
-                      ~off:v.v_flags_off ~shift:hint_shift txn.Txn.snapshot ~hint:v.v_hint
-                      ~xid:v.v_create
-                  then if v.v_tombstone then None else Some v
-                  else begin
-                    (* a skipped vector entry names an overlapping writer
-                       of this data item in the co-located lineage — under
-                       serializable mode that is an rw antidependency,
-                       no lock-table probe needed *)
-                    if t.track then
-                      Db.note_lineage_writer t.db ~reader:txn.Txn.xid ~writer:v.v_create;
-                    find (i + 1)
-                  end
-              in
-              find 0
+          | Some b ->
+              let p = find b (sees tid) in
+              if p < 0 then scan (older b)
+              else if tombstone b p then None
+              else Some { h_create = create b p; h_seq = seq b p; h_row = row_at b p }
       in
       scan entry
 
-(* Newest non-aborted version across the vector chain. *)
+(* Newest non-aborted version across the vector chain, as its item and
+   record offset. *)
 let effective_head t table vid =
   match Vidmap.get table.vidmap ~vid with
   | None -> None
@@ -177,27 +172,24 @@ let effective_head t table vid =
       let rec scan tid =
         if Tid.is_invalid tid then None
         else
-          match fetch_vector t table tid with
+          match fetch t table tid with
           | None -> None
-          | Some vec -> (
-              match
-                find_version (fun v -> Txn.status mgr v.v_create <> Txn.Aborted) vec.versions
-              with
-              | Some v -> Some v
-              | None -> scan vec.overflow)
+          | Some b ->
+              let p = find b (fun b p -> Txn.status mgr (create b p) <> Txn.Aborted) in
+              if p < 0 then scan (older b) else Some (b, p)
       in
       scan entry
 
 let admit t txn table ~pk candidates =
   let has_key vid =
-    match visible t txn table vid with Some v -> pk_of table v.v_row = pk | None -> false
+    match visible t txn table vid with Some h -> pk_of table h.h_row = pk | None -> false
   in
   let taken vid =
     match effective_head t table vid with
     | None -> false
-    | Some v ->
-        pk_of table v.v_row = pk
-        && insert_blocked t txn ~create:v.v_create ~tombstone:v.v_tombstone
+    | Some (b, p) ->
+        pk_of table (row_at b p) = pk
+        && insert_blocked t txn ~create:(create b p) ~tombstone:(tombstone b p)
   in
   if List.exists has_key candidates then Some Engine.Duplicate_key
   (* the pk index is probed afresh: its page accesses are part of the
@@ -206,66 +198,51 @@ let admit t txn table ~pk candidates =
     Some Engine.Write_conflict
   else None
 
-let fresh_version txn ~seq ~tombstone row =
-  {
-    v_create = txn.Txn.xid;
-    v_seq = seq;
-    v_tombstone = tombstone;
-    v_hint = Tuple.Hint.none;
-    v_flags_off = -1;
-    v_row = row;
-  }
-
 let add t txn table ~pk row =
   add_item t txn table ~pk row (fun ~vid ~seq ->
-      encode_vector
-        {
-          vec_vid = vid;
-          overflow = Tid.invalid;
-          versions = [| fresh_version txn ~seq ~tombstone:false row |];
-        })
+      assemble ~vid ~count:1 ~overflow:Tid.invalid
+        [ whole (record ~create:txn.Txn.xid ~seq ~tombstone:false (Value.encode_row row)) ])
 
 let lock_key ~pk:_ ~payload = payload
 
-let claim t txn table vid (visible_v : hit) =
+let claim t txn table vid (visible_h : hit) =
   match effective_head t table vid with
   | None -> Vanished
-  | Some head ->
+  | Some (b, p) ->
+      let head = create b p in
       Claim
         {
           contended =
-            head.v_create <> txn.Txn.xid
-            && Txn.status t.db.Db.txnmgr head.v_create = Txn.In_progress;
-          stale =
-            not (head.v_create = visible_v.v_create && head.v_seq = visible_v.v_seq);
+            head <> txn.Txn.xid && Txn.status t.db.Db.txnmgr head = Txn.In_progress;
+          stale = not (head = visible_h.h_create && seq b p = visible_h.h_seq);
         }
 
-(* Re-append the vector with the new version prepended; a full vector
-   spills whole into an overflow vector and a fresh one starts. *)
+(* Re-append the vector with the new version spliced in front; a full
+   vector spills unchanged into an overflow item and a fresh one starts. *)
 let supersede t txn table ~payload:vid _hit ~old_row new_row =
   match Vidmap.get table.vidmap ~vid with
   | None -> Error Engine.Not_found
   | Some cur_tid -> (
-      match fetch_vector t table cur_tid with
+      match fetch t table cur_tid with
       | None -> Error Engine.Not_found
       | Some cur ->
           let xid = txn.Txn.xid in
-          let v =
-            fresh_version txn ~seq:(next_seq t xid) ~tombstone:(Option.is_none new_row)
-              (Option.value new_row ~default:old_row)
+          let r =
+            record ~create:xid ~seq:(next_seq t xid) ~tombstone:(Option.is_none new_row)
+              (Value.encode_row (Option.value new_row ~default:old_row))
           in
           let fresh =
-            if Array.length cur.versions >= capacity then
-              { vec_vid = vid; overflow = append_vector t table ~xid cur; versions = [| v |] }
-            else { cur with versions = Array.append [| v |] cur.versions }
+            if count cur >= capacity then
+              assemble ~vid ~count:1 ~overflow:(append_item t table ~xid cur) [ whole r ]
+            else splice cur r
           in
-          let tid = append_vector t table ~xid fresh in
+          let tid = append_item t table ~xid fresh in
           repoint_item t txn table ~vid ~old_entry:cur_tid tid ~old_row new_row;
           Ok ())
 
 let scan t txn table f =
   for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
-    match visible t txn table vid with Some v -> f v.v_row | None -> ()
+    match visible t txn table vid with Some h -> f h.h_row | None -> ()
   done
 
 (* ---------------- garbage collection ----------------
@@ -277,11 +254,6 @@ let scan t txn table f =
    unreachable garbage for the sweep). GC reads go through the vacuum
    ring: no stats pollution, no working-set eviction, I/O still charged. *)
 
-let fetch_vector_ro table tid =
-  match Heapfile.read_ro table.heap tid with
-  | None -> None
-  | Some item -> Some (decode_vector item)
-
 (* Drop versions no snapshot can need. A version is dead when a younger
    committed version is below the horizon, or its creator aborted; a
    committed tombstone below the horizon kills the whole item. *)
@@ -292,111 +264,94 @@ let compact t table =
     match if locked t table vid then None else Vidmap.get table.vidmap ~vid with
     | None -> ()
     | Some entry ->
-        (* gather all versions across the overflow chain *)
+        (* every vector copy along the overflow chain, newest first *)
         let rec gather tid acc =
           if Tid.is_invalid tid then List.rev acc
           else
-            match fetch_vector_ro table tid with
+            match Heapfile.read_ro table.heap tid with
             | None -> List.rev acc
-            | Some vec -> gather vec.overflow (List.rev_append (Array.to_list vec.versions) acc)
+            | Some b -> gather (older b) (b :: acc)
         in
-        let versions = gather entry [] in
-        let rec live acc succ_committed = function
-          | [] -> List.rev acc
-          | v :: rest ->
-              if
-                Visibility.sias_dead_for_all mgr ~horizon ~create:v.v_create
-                  ~successor_create:succ_committed
-                || v.v_tombstone && v.v_create < horizon
-                   && Txn.status mgr v.v_create = Txn.Committed
-              then List.rev acc (* everything older is dead too *)
-              else
-                let succ_committed =
-                  if Txn.status mgr v.v_create = Txn.Committed then Some v.v_create
-                  else succ_committed
-                in
-                live (v :: acc) succ_committed rest
+        let chain = gather entry [] in
+        let total = List.fold_left (fun acc b -> acc + count b) 0 chain in
+        (* the live prefix: everything older than the first dead version
+           is dead too *)
+        let n_live = ref 0 and succ_committed = ref None in
+        let dead b p =
+          let c = create b p in
+          Visibility.sias_dead_for_all mgr ~horizon ~create:c ~successor_create:!succ_committed
+          || tombstone b p && c < horizon && Txn.status mgr c = Txn.Committed
+          || begin
+               incr n_live;
+               if Txn.status mgr c = Txn.Committed then succ_committed := Some c;
+               false
+             end
         in
-        let live_versions = live [] None versions in
-        if List.length live_versions < List.length versions then begin
+        ignore (List.exists (fun b -> find b dead >= 0) chain);
+        if !n_live < total then begin
           t.store.compacted <- t.store.compacted + 1;
-          match live_versions with
-          | [] ->
-              (* the whole item is dead; [versions] is not empty *)
-              Vidmap.clear table.vidmap ~vid;
-              ignore
-                (Index.delete table.pk_index
-                   ~key:(pk_of table (List.hd versions).v_row)
-                   ~payload:vid)
-          | _ ->
-              let tid =
-                append_vector t table ~xid:0
-                  { vec_vid = vid; overflow = Tid.invalid; versions = Array.of_list live_versions }
-              in
-              Vidmap.set table.vidmap ~vid tid
+          if !n_live = 0 then begin
+            (* the whole item is dead; its newest record names the key *)
+            Vidmap.clear table.vidmap ~vid;
+            ignore
+              (Index.delete table.pk_index
+                 ~key:(pk_of table (row_at (List.hd chain) header_size))
+                 ~payload:vid)
+          end
+          else
+            Vidmap.set table.vidmap ~vid (append_item t table ~xid:0 (prefix ~vid chain !n_live))
         end
   done
 
 let mark t table =
   compact t table;
   let live = Hashtbl.create 1024 in
-  let mark_chain entry =
-    let rec walk tid =
-      if (not (Tid.is_invalid tid)) && not (Hashtbl.mem live (Tid.to_int tid)) then
-        match fetch_vector_ro table tid with
-        | None -> ()
-        | Some vec ->
-            Hashtbl.replace live (Tid.to_int tid) vec.vec_vid;
-            walk vec.overflow
-    in
-    walk entry
+  let rec walk tid =
+    if (not (Tid.is_invalid tid)) && not (Hashtbl.mem live (Tid.to_int tid)) then
+      match Heapfile.read_ro table.heap tid with
+      | None -> ()
+      | Some b ->
+          Hashtbl.replace live (Tid.to_int tid) (item_vid b);
+          walk (older b)
   in
   for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
-    Option.iter mark_chain (Vidmap.get table.vidmap ~vid)
+    Option.iter walk (Vidmap.get table.vidmap ~vid)
   done;
   (* copies an aborting writer may restore the VID_map to *)
   Hashtbl.iter
     (fun _xid cell ->
-      List.iter
-        (fun u -> if u.u_table == table then Option.iter mark_chain u.u_old)
-        !cell)
+      List.iter (fun u -> if u.u_table == table then Option.iter walk u.u_old) !cell)
     t.undo;
   Some live
 
 (* ---------------- recovery ---------------- *)
 
-let committed mgr v = Txn.status mgr v.v_create = Txn.Committed
-
 let live_row mgr item =
-  match find_version (committed mgr) (decode_vector item).versions with
-  | Some v when not v.v_tombstone -> Some v.v_row
-  | _ -> None
-
-(* The newest committed version a vector copy holds, for choosing the
-   authoritative copy of each item at recovery. *)
-let copy_rank mgr vec =
-  let best = ref None in
-  Array.iter
-    (fun v ->
-      if committed mgr v then
-        match !best with
-        | Some (c, s) when c > v.v_create || (c = v.v_create && s >= v.v_seq) -> ()
-        | _ -> best := Some (v.v_create, v.v_seq))
-    vec.versions;
-  !best
+  let p = find item (fun b p -> Txn.status mgr (create b p) = Txn.Committed) in
+  if p < 0 || tombstone item p then None else Some (row_at item p)
 
 (* The copy holding the newest committed version wins; ties go to the
    fuller, then the later copy. The index is rebuilt from its newest
    committed, non-tombstone version. *)
 let restore t table ~rebuild =
   let mgr = t.db.Db.txnmgr in
+  let newest_committed item =
+    fold item
+      (fun best p ->
+        let c = create item p and s = seq item p in
+        if Txn.status mgr c <> Txn.Committed then best
+        else
+          match best with
+          | Some (bc, bs) when bc > c || (bc = c && bs >= s) -> best
+          | _ -> Some (c, s))
+      None
+  in
   restore_entrypoints table ~rebuild
     ~rank:(fun tid item ->
-      let vec = decode_vector item in
-      ( vec.vec_vid,
+      ( item_vid item,
         Option.map
-          (fun rank -> (rank, Array.length vec.versions, Tid.to_int tid))
-          (copy_rank mgr vec) ))
+          (fun rank -> (rank, count item, Tid.to_int tid))
+          (newest_committed item) ))
     ~indexed_row:(live_row mgr)
 
 let count_versions t table =
@@ -405,26 +360,23 @@ let count_versions t table =
     match Vidmap.get table.vidmap ~vid with
     | None -> ()
     | Some entry ->
-        let rec count tid =
+        let rec walk tid =
           if not (Tid.is_invalid tid) then
-            match fetch_vector t table tid with
+            match fetch t table tid with
             | None -> ()
-            | Some vec ->
-                total := !total + Array.length vec.versions;
-                count vec.overflow
+            | Some b ->
+                total := !total + count b;
+                walk (older b)
         in
-        count entry
+        walk entry
   done;
   let live = ref 0 in
   let mgr = t.db.Db.txnmgr in
   Vidmap.iter table.vidmap (fun _vid tid ->
-      match fetch_vector t table tid with
-      | Some vec -> (
-          match
-            find_version (fun v -> Txn.status mgr v.v_create <> Txn.Aborted) vec.versions
-          with
-          | Some v when not v.v_tombstone -> incr live
-          | _ -> ())
+      match fetch t table tid with
+      | Some b ->
+          let p = find b (fun b p -> Txn.status mgr (create b p) <> Txn.Aborted) in
+          if p >= 0 && not (tombstone b p) then incr live
       | None -> ());
   (!total, !live)
 

@@ -29,7 +29,7 @@ let () =
 type frame = {
   idx : int;
   mutable key : key;
-  mutable page : Page.t;
+  page : Page.t; (* the frame's own buffer, reloaded in place on a miss *)
   mutable dirty : bool;
   mutable pin : int;
   mutable refbit : bool;
@@ -72,6 +72,10 @@ type stats = {
   torn_pages : int;
 }
 
+(* [users] counts the [with_page_ro] callbacks running on [page]; a
+   buffer is recycled only once it is out of the ring and unused. *)
+type ring_entry = { page : Page.t; mutable users : int }
+
 type t = {
   device : Device.t;
   clock : Simclock.t;
@@ -81,8 +85,11 @@ type t = {
   os_cache_pages : int;
   os_pending : (key, unit) Hashtbl.t;
   mutable os_next_flush : float;
-  ring : (key, Page.t) Hashtbl.t; (* small cache for ring-buffer reads *)
+  ring : (key, ring_entry) Hashtbl.t; (* small cache for ring-buffer reads *)
   ring_fifo : key Queue.t;
+  mutable ring_spare : Page.t option;
+      (* a buffer dropped from the ring that no callback holds: the next
+         ring miss loads into it instead of allocating *)
   frames : frame array;
   shards : shard array;
   locking : bool; (* shards > 1: take the locks *)
@@ -163,6 +170,7 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?(rel_region_block
     os_next_flush = (match os_cache_interval with Some i -> i | None -> infinity);
     ring = Hashtbl.create 64;
     ring_fifo = Queue.create ();
+    ring_spare = None;
     frames;
     shards = shard_arr;
     locking = shards > 1;
@@ -249,7 +257,9 @@ let submit_io t ~sync op key =
 
 let set_repair t fn = t.repair <- Some fn
 
-(* Read a page image from the simulated disk with the full reliability
+(* Load the durable image of [key] into [dst], a page no caller holds
+   (a frame's or a ring entry's own buffer), or make [dst] the empty page
+   when the block was never written. The read takes the full reliability
    path: transient read errors are retried with exponential backoff
    charged to the simulated clock; the image is then checksum-verified,
    and a failing page is handed to the installed repair handler (WAL
@@ -258,30 +268,9 @@ let set_repair t fn = t.repair <- Some fn
    Caller holds [io_lock] when sharded. *)
 let read_backoff_base_s = 0.0005
 
-let read_image t key =
+let read_image t key dst =
   match Hashtbl.find_opt t.disk key with
-  | None -> None
-  | Some image when t.faults = None && Hashtbl.mem t.trusted key ->
-      (* This pool stamped the image itself and no fault model can have
-         damaged it since: skip the full-page CRC32 re-verification. The
-         device I/O and its stall are charged exactly as on the slow
-         path, so simulated results are unchanged. *)
-      let t0 = Simclock.now t.clock in
-      let page = Page.of_bytes (Page.to_bytes image) in
-      submit_io t ~sync:true Blocktrace.Read key;
-      (match obs t with
-      | Some b ->
-          Bus.publish b
-            (Bus.Span
-               {
-                 cat = "storage";
-                 name = "page_read";
-                 tid = 100;
-                 t0;
-                 t1 = Simclock.now t.clock;
-               })
-      | None -> ());
-      Some page
+  | None -> Page.reset dst
   | Some image ->
       let sector = sector_of t ~rel:key.rel ~block:key.block in
       let t0 = Simclock.now t.clock in
@@ -294,30 +283,29 @@ let read_image t key =
         t.read_stall <- t.read_stall +. stall;
         Simclock.advance t.clock stall
       in
-      (* One read attempt: charge any transient failures as backoff, then
-         maybe corrupt the copied image. Returns (raw, unreadable) —
-         [unreadable] when the transient errors exceeded the retry budget. *)
+      (* One read attempt: copy the image into [dst], charge any transient
+         failures as backoff, then maybe corrupt the copy in flight.
+         Returns whether the transient errors exceeded the retry budget. *)
       let attempt () =
-        let raw = Page.to_bytes image in
+        Page.blit ~src:image ~dst;
         match t.faults with
-        | None -> (raw, false)
+        | None -> false
         | Some fd ->
             let failures = Faultdev.transient_failures fd ~sector in
             let retries = Stdlib.min failures t.max_read_retries in
             for i = 0 to retries - 1 do
               backoff i
             done;
-            ignore (Faultdev.corrupt_read fd ~sector raw);
-            (raw, failures > t.max_read_retries)
+            ignore (Faultdev.corrupt_read fd ~sector (Page.buffer dst));
+            failures > t.max_read_retries
       in
       (* A failing checksum is re-read a few times before escalating:
          corruption picked up in flight (bus, DRAM) disappears on a fresh
          read of an intact stored image, while a genuinely damaged image
          (torn write) keeps failing and goes to the repair path. *)
       let rec read_verified tries =
-        let raw, unreadable = attempt () in
-        let page = Page.of_bytes raw in
-        if (not unreadable) && Page.checksum_ok page then Some page
+        let unreadable = attempt () in
+        if (not unreadable) && Page.checksum_ok dst then true
         else if tries < t.max_read_retries then begin
           if not unreadable then begin
             t.checksum_failures <- t.checksum_failures + 1;
@@ -328,9 +316,19 @@ let read_image t key =
           backoff tries;
           read_verified (tries + 1)
         end
-        else None
+        else false
       in
-      let verified = read_verified 0 in
+      (* An image this pool stamped itself, with no fault model that could
+         have damaged it since, skips the full-page CRC32 re-verification.
+         The device I/O and its stall are charged the same either way, so
+         simulated results do not depend on it. *)
+      let verified =
+        if t.faults = None && Hashtbl.mem t.trusted key then begin
+          Page.blit ~src:image ~dst;
+          true
+        end
+        else read_verified 0
+      in
       submit_io t ~sync:true Blocktrace.Read key;
       (match obs t with
       | Some b ->
@@ -344,9 +342,7 @@ let read_image t key =
                  t1 = Simclock.now t.clock;
                })
       | None -> ());
-      match verified with
-      | Some page -> Some page
-      | None -> begin
+      if not verified then begin
         t.checksum_failures <- t.checksum_failures + 1;
         (match obs t with
         | Some b -> Bus.publish b (Bus.Fault_hit { kind = "checksum"; sector })
@@ -367,7 +363,7 @@ let read_image t key =
             let durable = Page.copy fixed in
             Page.stamp_checksum durable;
             Hashtbl.replace t.disk key durable;
-            Some fixed
+            Page.blit ~src:fixed ~dst
         | None -> raise (Corrupt_page { rel = key.rel; block = key.block })
       end
 
@@ -493,9 +489,8 @@ let load_frame t s key =
     Hashtbl.remove s.index f.key;
     s.evictions <- s.evictions + 1
   end;
-  (match with_io t (fun () -> read_image t key) with
-  | Some page -> f.page <- page
-  | None -> f.page <- Page.create ~size:t.page_size);
+  (* the victim is unpinned and out of the mapping: reload its own buffer *)
+  with_io t (fun () -> read_image t key f.page);
   f.key <- key;
   f.dirty <- false;
   f.used <- true;
@@ -552,18 +547,37 @@ let with_page t ~rel ~block fn =
    is used without promoting it (no reference bit, no recency bump); a
    miss is served straight from the disk image without occupying a frame,
    so wholesale scans cannot evict the working set (PostgreSQL's
-   BAS_VACUUM ring). Read-only: mutations through this path are lost. *)
+   BAS_VACUUM ring). Read-only: mutations through this path are lost.
+   The ring's state ([ring], [ring_fifo], [ring_spare], [users]) is
+   guarded by [io_lock]. *)
 let ring_capacity = 32
 
-let ring_put t key page =
-  if not (Hashtbl.mem t.ring key) then begin
-    if Queue.length t.ring_fifo >= ring_capacity then begin
-      let victim = Queue.pop t.ring_fifo in
-      Hashtbl.remove t.ring victim
-    end;
-    Hashtbl.replace t.ring key page;
-    Queue.add key t.ring_fifo
-  end
+(* Drop [key]'s ring entry; its buffer becomes the spare unless a
+   callback still reads it. Caller holds [io_lock]. *)
+let ring_drop t key =
+  match Hashtbl.find_opt t.ring key with
+  | Some e ->
+      Hashtbl.remove t.ring key;
+      if e.users = 0 then t.ring_spare <- Some e.page
+  | None -> ()
+
+(* A ring miss: load [key] into the spare buffer (or a fresh one) and
+   enter it, evicting the oldest entry when the ring is full. Caller holds
+   [io_lock]; [key] is not in the ring. *)
+let ring_load t key =
+  let page =
+    match t.ring_spare with
+    | Some page ->
+        t.ring_spare <- None;
+        page
+    | None -> Page.create ~size:t.page_size
+  in
+  read_image t key page;
+  if Queue.length t.ring_fifo >= ring_capacity then ring_drop t (Queue.pop t.ring_fifo);
+  let e = { page; users = 1 } in
+  Hashtbl.replace t.ring key e;
+  Queue.add key t.ring_fifo;
+  e
 
 let with_page_ro t ~rel ~block fn =
   (match t.os_cache_interval with
@@ -588,35 +602,32 @@ let with_page_ro t ~rel ~block fn =
           unlock_shard t s)
         (fun () -> fn f.page)
   | None -> (
-      let resolved =
+      let entry =
         match
           with_io t (fun () ->
               match Hashtbl.find_opt t.ring key with
-              | Some page -> Some page
+              | Some e ->
+                  e.users <- e.users + 1;
+                  Some e
               | None -> None)
         with
-        | Some page ->
+        | Some e ->
             s.hits <- s.hits + 1;
             (match obs t with
             | Some b -> Bus.publish b (Bus.Page_hit { rel; block })
             | None -> ());
-            page
+            e
         | None ->
             s.misses <- s.misses + 1;
             (match obs t with
             | Some b -> Bus.publish b (Bus.Page_miss { rel; block })
             | None -> ());
-            with_io t (fun () ->
-                let page =
-                  match read_image t key with
-                  | Some page -> page
-                  | None -> Page.create ~size:t.page_size
-                in
-                ring_put t key page;
-                page)
+            with_io t (fun () -> ring_load t key)
       in
       unlock_shard t s;
-      fn resolved)
+      Fun.protect
+        ~finally:(fun () -> with_io t (fun () -> entry.users <- entry.users - 1))
+        (fun () -> fn entry.page))
   | exception e ->
       unlock_shard t s;
       raise e
@@ -648,7 +659,7 @@ let patch_resident t ~rel ~block ~slot ~off ~bits =
 
 let mark_dirty t ~rel ~block =
   (* any mutation invalidates the ring copy *)
-  with_io t (fun () -> Hashtbl.remove t.ring { rel; block });
+  with_io t (fun () -> ring_drop t { rel; block });
   let s = shard_of t { rel; block } in
   lock_shard t s;
   let found =
@@ -803,14 +814,14 @@ let trim_block t ~rel ~block =
   lock_shard t s;
   (match find_resident_in s t ~rel ~block with
   | Some f ->
-      f.page <- Page.create ~size:t.page_size;
+      Page.reset f.page;
       f.dirty <- false
   | None -> ());
   unlock_shard t s;
   with_io t (fun () ->
       Hashtbl.remove t.disk { rel; block };
       Hashtbl.remove t.os_pending { rel; block };
-      Hashtbl.remove t.ring { rel; block };
+      ring_drop t { rel; block };
       Hashtbl.remove t.torn_pending { rel; block };
       Hashtbl.remove t.trusted { rel; block };
       (* tell the device: its GC must never relocate this dead data *)

@@ -19,7 +19,13 @@
     behavior is byte-identical to the unsharded pool. The pool
     guarantees frame-table integrity across domains; synchronizing
     {e page content} between domains remains the caller's concern —
-    shard your data. *)
+    shard your data.
+
+    {b Frame discipline.} A miss loads the page image into the buffer
+    of the frame (or ring entry) that receives it, so buffers are
+    reused: a {!Page.t} handed to a {!with_page} or {!with_page_ro}
+    callback is valid only during that callback. Keep copies
+    ({!Page.read}, {!Page.copy}), never the page. *)
 
 type t
 
@@ -74,7 +80,9 @@ val with_page_ro : t -> rel:int -> block:int -> (Page.t -> 'a) -> 'a
 (** Ring-buffer access for background scans (vacuum/GC): hits do not
     promote the frame and misses are served without caching, so a
     wholesale scan cannot evict the working set (PostgreSQL's vacuum
-    ring). Strictly read-only — mutations made through it are lost. *)
+    ring). Strictly read-only — mutations made through it are lost. A
+    ring buffer is never reloaded while a callback still reads it, so
+    nested calls are safe. *)
 
 val patch_resident :
   t -> rel:int -> block:int -> slot:int -> off:int -> bits:int -> bool

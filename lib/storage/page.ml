@@ -46,14 +46,21 @@ let set_slot t i ~off ~len =
   set16 t (slot_pos i) off;
   set16 t (slot_pos i + 2) len
 
+let init_empty t =
+  set_nslots t 0;
+  set_lower t header_size;
+  set_upper t t.size;
+  set_live t 0
+
 let create ~size =
   if size < 64 || size > 65535 then invalid_arg "Page.create: size out of range";
   let t = { buf = Bytes.make size '\000'; size } in
-  set_nslots t 0;
-  set_lower t header_size;
-  set_upper t size;
-  set_live t 0;
+  init_empty t;
   t
+
+let reset t =
+  Bytes.fill t.buf 0 t.size '\000';
+  init_empty t
 
 let size t = t.size
 

@@ -15,6 +15,10 @@ val slot_size : int
 val create : size:int -> t
 (** An empty page of [size] bytes (the simulator uses 8192). *)
 
+val reset : t -> unit
+(** Turn the page, in place, into the empty page {!create} would make:
+    every byte of the old content is zeroed. *)
+
 val size : t -> int
 
 val insert : t -> bytes -> int option
@@ -31,8 +35,9 @@ val item_offset : t -> int -> int
 
 val buffer : t -> bytes
 (** The page's own byte buffer, not a copy: a read-only view for
-    in-place item decoding. Callers must not mutate it, and must not use
-    it past the pin that produced the page. *)
+    in-place item decoding. Callers must not mutate it (the buffer pool
+    alone does, while it loads an image into a page no caller holds), and
+    must not use it past the pin that produced the page. *)
 
 val update : t -> int -> bytes -> bool
 (** [update p slot item] overwrites the item in place when the new value

@@ -20,6 +20,7 @@ let () =
       ("engine-sias-v", Test_engines.Sias_v_suite.suite);
       ("engine-si-cv", Test_engines.Si_cv_suite.suite);
       ("sias-whitebox", Test_sias.suite);
+      ("sias-v-vector", Test_vector.suite);
       ("si-vs-sias", Test_equiv.suite);
       ("tpcc", Test_tpcc.suite);
       ("integration", Test_extra.suite);

@@ -271,14 +271,27 @@ let test_sharded_pool_shard_count_and_args () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Relation 1's pages carry a second, page-sized item, so a ring buffer
+   reloaded under a reader would show in its bytes. *)
+let ring_item block = Bytes.make 600 (Char.chr (97 + (block mod 26)))
+
 let test_sharded_pool_multidomain_reads () =
   (* preload pages, then hammer read-only from several domains: every
-     read must see the exact image written; counters must add up *)
+     read must see the exact image written; counters must add up.
+     Relation 1 has more pages than the pool has frames, so its ring
+     reads ([with_page_ro]) miss concurrently and recycle ring buffers
+     while other domains still read them. *)
   let pool = mk_pool ~shards:8 ~capacity:128 () in
-  let pages = 96 in
+  let pages = 96 and ring_pages = 300 in
   for block = 0 to pages - 1 do
     Bufpool.with_page pool ~rel:0 ~block (fun page -> fill_page page ~tag:block);
     Bufpool.mark_dirty pool ~rel:0 ~block
+  done;
+  for block = 0 to ring_pages - 1 do
+    Bufpool.with_page pool ~rel:1 ~block (fun page ->
+        fill_page page ~tag:block;
+        ignore (Page.insert page (ring_item block)));
+    Bufpool.mark_dirty pool ~rel:1 ~block
   done;
   Bufpool.flush_all pool ~sync:false;
   let domains = 4 and rounds = 2_000 in
@@ -289,14 +302,23 @@ let test_sharded_pool_multidomain_reads () =
         for _ = 1 to rounds do
           let block = Rng.int rng pages in
           Bufpool.with_page pool ~rel:0 ~block (fun page ->
-              if read_tag page <> Printf.sprintf "tag-%06d" block then incr bad)
+              if read_tag page <> Printf.sprintf "tag-%06d" block then incr bad);
+          let block = Rng.int rng ring_pages in
+          Bufpool.with_page_ro pool ~rel:1 ~block (fun page ->
+              let before = Page.read page 1 in
+              Domain.cpu_relax ();
+              if
+                read_tag page <> Printf.sprintf "tag-%06d" block
+                || before <> Some (ring_item block)
+                || Page.read page 1 <> before
+              then incr bad)
         done;
         !bad)
   in
   checki "every domain read correct images" 0 (Array.fold_left ( + ) 0 results);
   let s = Bufpool.stats pool in
   check "counters account for every access" true
-    (s.Bufpool.hits + s.Bufpool.misses >= (domains * rounds) + pages)
+    (s.Bufpool.hits + s.Bufpool.misses >= (2 * domains * rounds) + pages + ring_pages)
 
 let test_sharded_pool_multidomain_disjoint_writes () =
   (* each domain writes its own relation; all content must survive *)

@@ -226,6 +226,123 @@ let test_pool_rel_regions_disjoint () =
   let s1 = Bufpool.sector_of pool ~rel:1 ~block:0 in
   check "regions disjoint" true (s1 > s0)
 
+(* ---------------- frame and ring buffer reuse ----------------
+
+   A miss loads the page image into the buffer of the frame (or ring
+   entry) that receives it; these pin down that no bytes of the buffer's
+   previous page leak through and that no buffer is reloaded while a
+   callback still reads it. *)
+
+(* Add items whose bytes depend on [block] to its page; returns the
+   image a flush will make durable (the page as written, checksummed). *)
+let fill_block pool block =
+  let image =
+    Bufpool.with_page pool ~rel:0 ~block (fun p ->
+        ignore (Page.insert p (Bytes.make 300 (Char.chr (65 + (block mod 26)))));
+        ignore (Page.insert p (bytes_of (Printf.sprintf "block-%d" block)));
+        let d = Page.copy p in
+        Page.stamp_checksum d;
+        Page.to_bytes d)
+  in
+  Bufpool.mark_dirty pool ~rel:0 ~block;
+  image
+
+let empty_image = Page.to_bytes (Page.create ~size:1024)
+
+let test_pool_reload_equals_durable () =
+  let pool, _, _ = mk_pool ~capacity:4 () in
+  let images = Array.init 12 (fill_block pool) in
+  Bufpool.flush_all pool ~sync:false;
+  (* every reload below evicts a frame that held another block *)
+  for round = 1 to 2 do
+    for b = 0 to Array.length images - 1 do
+      Bufpool.with_page pool ~rel:0 ~block:b (fun p ->
+          Alcotest.(check bytes) (Printf.sprintf "round %d block %d" round b) images.(b)
+            (Page.to_bytes p))
+    done
+  done
+
+let test_pool_fresh_block_reads_empty () =
+  let pool, _, _ = mk_pool ~capacity:4 () in
+  for b = 0 to 39 do
+    ignore (fill_block pool b)
+  done;
+  (* frames: blocks never written land in frames that held data *)
+  for b = 100 to 107 do
+    Bufpool.with_page pool ~rel:0 ~block:b (fun p ->
+        Alcotest.(check bytes) (Printf.sprintf "frame, block %d" b) empty_image (Page.to_bytes p))
+  done;
+  (* ring: cycle evicted blocks through the ring until its buffers are
+     recycled, then read never-written blocks through it *)
+  for b = 0 to 35 do
+    Bufpool.with_page_ro pool ~rel:0 ~block:b ignore
+  done;
+  for b = 200 to 207 do
+    Bufpool.with_page_ro pool ~rel:0 ~block:b (fun p ->
+        Alcotest.(check bytes) (Printf.sprintf "ring, block %d" b) empty_image (Page.to_bytes p))
+  done;
+  (* trim: a resident frame and a ring copy both read as empty *)
+  ignore (fill_block pool 300);
+  Bufpool.trim_block pool ~rel:0 ~block:300;
+  Bufpool.with_page pool ~rel:0 ~block:300 (fun p ->
+      Alcotest.(check bytes) "trimmed, resident" empty_image (Page.to_bytes p));
+  Bufpool.with_page_ro pool ~rel:0 ~block:3 ignore;
+  Bufpool.trim_block pool ~rel:0 ~block:3;
+  Bufpool.with_page_ro pool ~rel:0 ~block:3 (fun p ->
+      Alcotest.(check bytes) "trimmed, ring" empty_image (Page.to_bytes p))
+
+let test_pool_nested_ring_miss_keeps_outer () =
+  let pool, _, _ = mk_pool ~capacity:4 () in
+  let images = Array.init 80 (fill_block pool) in
+  Bufpool.flush_all pool ~sync:false;
+  (* fill the ring with blocks 0..31; block 0 heads its FIFO *)
+  for b = 0 to 31 do
+    Bufpool.with_page_ro pool ~rel:0 ~block:b ignore
+  done;
+  let nested_misses first =
+    for b = first to first + 39 do
+      Bufpool.with_page_ro pool ~rel:0 ~block:b (fun p ->
+          Alcotest.(check bytes) (Printf.sprintf "inner block %d" b) images.(b)
+            (Page.to_bytes p))
+    done
+  in
+  (* outer on a ring hit: the first nested miss evicts its entry *)
+  Bufpool.with_page_ro pool ~rel:0 ~block:0 (fun p ->
+      let before = Page.to_bytes p in
+      nested_misses 32;
+      Alcotest.(check bytes) "outer hit intact" before (Page.to_bytes p);
+      Alcotest.(check bytes) "outer hit is block 0" images.(0) before);
+  (* outer on a ring miss: the nested misses cycle the whole ring past it *)
+  Bufpool.with_page_ro pool ~rel:0 ~block:75 (fun p ->
+      nested_misses 0;
+      Alcotest.(check bytes) "outer miss intact" images.(75) (Page.to_bytes p))
+
+(* A fixed mix of pinned writes and reads, nested ring reads, flushes and
+   trims over a pool far smaller than the blocks it touches. The counts
+   were taken from the pool before misses reused buffers: reuse must not
+   move a single hit, miss, eviction or flush. *)
+let test_pool_scripted_counts () =
+  let pool, _, _ = mk_pool () in
+  let rng = Sias_util.Rng.create 17 in
+  for i = 0 to 2999 do
+    let block = Sias_util.Rng.int rng 64 in
+    match i mod 7 with
+    | 0 | 1 -> ignore (fill_block pool block)
+    | 2 | 5 -> Bufpool.with_page pool ~rel:0 ~block ignore
+    | 3 -> Bufpool.with_page_ro pool ~rel:0 ~block ignore
+    | 4 ->
+        Bufpool.with_page_ro pool ~rel:0 ~block (fun _ ->
+            Bufpool.with_page_ro pool ~rel:0 ~block:((block + 1) mod 64) ignore)
+    | _ ->
+        if i mod 49 = 6 then Bufpool.trim_block pool ~rel:0 ~block
+        else Bufpool.flush_block pool ~rel:0 ~block ~sync:true
+  done;
+  let s = Bufpool.stats pool in
+  checki "hits" 797 s.Bufpool.hits;
+  checki "misses" 2203 s.Bufpool.misses;
+  checki "evictions" 1467 s.Bufpool.evictions;
+  checki "flushes" 791 s.Bufpool.flushes
+
 (* ---------------- Heapfile ---------------- *)
 
 let mk_heap placement =
@@ -373,6 +490,11 @@ let suite =
     Alcotest.test_case "pool dirty tracking" `Quick test_pool_dirty_tracking;
     Alcotest.test_case "pool crash drops unflushed" `Quick test_pool_drop_cache_loses_unflushed;
     Alcotest.test_case "pool relation regions disjoint" `Quick test_pool_rel_regions_disjoint;
+    Alcotest.test_case "pool reload equals durable image" `Quick test_pool_reload_equals_durable;
+    Alcotest.test_case "pool fresh block reads empty" `Quick test_pool_fresh_block_reads_empty;
+    Alcotest.test_case "pool nested ring miss keeps outer" `Quick
+      test_pool_nested_ring_miss_keeps_outer;
+    Alcotest.test_case "pool scripted hit/miss counts" `Quick test_pool_scripted_counts;
     Alcotest.test_case "heap insert/read roundtrip" `Quick test_heap_insert_read_roundtrip;
     Alcotest.test_case "heap append-only monotone" `Quick test_heap_append_only_monotone_blocks;
     Alcotest.test_case "heap FSM refills holes" `Quick test_heap_free_space_first_refills;

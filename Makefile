@@ -134,10 +134,15 @@ isolation:
 
 # Crash-schedule smoke: every engine x commit mode, a budgeted sample of
 # deterministic crash schedules (including crashes during recovery and
-# primary-crash failover) plus the out-of-space scenarios. Every schedule
-# must recover byte-identically to the model prefix. CHAOS_FULL=1 drops
-# the budget and enumerates every schedule (CI nightly). The report is
-# kept as an artifact either way; non-zero exit on any failing schedule.
+# primary-crash failover) plus the out-of-space scenarios (array index)
+# and the bounded-WAL crash sweep: 20 KB WAL, 128-page pool, a crash
+# after every op k = 1..300, recovered rows compared with the committed
+# model. The first invocation sweeps the array index, the second
+# (--index paged) the paged one. Every schedule must recover
+# byte-identically to the model prefix. CHAOS_FULL=1 drops the budget
+# and enumerates every schedule (CI nightly). The report is kept as an
+# artifact either way; non-zero exit on any failing schedule or sweep
+# position.
 chaos:
 	mkdir -p _obs
 	dune exec bin/sias_cli.exe -- chaos --standby \

@@ -203,7 +203,12 @@ let chaos_cmd =
     Arg.(
       value & opt bool true
       & info [ "oos" ] ~docv:"BOOL"
-          ~doc:"Also run the out-of-space reclamation/degradation scenarios.")
+          ~doc:
+            "Also run the out-of-space scenarios: reclamation and \
+             degradation on the array index, then the bounded-WAL \
+             crash-position sweep (crash after every op k in 1..300, \
+             recover, compare with the committed model) on the \
+             $(b,--index) kind.")
   in
   let run engines isolation index modes standby budget full oos =
     let failures = ref 0 in
@@ -266,7 +271,17 @@ let chaos_cmd =
             e o.Chaosrun.reclaims o.Chaosrun.committed o.Chaosrun.attempted
             (if live then "ok" else "FAIL")
             h.Chaosrun.shed h.Chaosrun.read_only_errors
-            (if loud then "ok" else "FAIL"))
+            (if loud then "ok" else "FAIL");
+          let sw = Chaosrun.crash_sweep ~index ~engine:e () in
+          let failed = List.length sw.Chaosrun.failures in
+          failures := !failures + failed;
+          Format.printf
+            "== oos %-10s crash sweep (%s index): %d/%d positions failed, %d degraded@."
+            e index failed sw.Chaosrun.positions sw.Chaosrun.degraded_runs;
+          List.iteri
+            (fun i (k, why) ->
+              if i < 3 then Format.printf "   FAIL crash after op %d: %s@." k why)
+            sw.Chaosrun.failures)
         engines;
     if !failures > 0 then begin
       Format.printf "chaos: %d failures@." !failures;
@@ -278,9 +293,10 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Explore deterministic crash schedules (every instrumented crash \
-          point, including crashes during recovery) and the out-of-space \
-          degradation scenarios; non-zero exit if any schedule fails to \
-          recover to the model prefix.")
+          point, including crashes during recovery), the out-of-space \
+          degradation scenarios and the bounded-WAL crash-position sweep; \
+          non-zero exit if any schedule fails to recover to the model \
+          prefix.")
     Term.(
       const run $ engines_arg $ Cli.isolation $ Cli.index $ modes_arg $ standby_arg
       $ budget_arg $ full_arg $ oos_arg)

@@ -387,8 +387,108 @@ let explore ?(cfg = Explorer.default_config) c =
   Explorer.explore cfg (fun () -> session c)
 
 (* ------------------------------------------------------------------ *)
-(* Out-of-space scenarios: finite WAL capacity, emergency reclamation,
-   watermark backpressure, and loud read-only degradation. *)
+(* Out-of-space scenarios: finite WAL capacity, reclamation between
+   operations, watermark backpressure, and loud read-only degradation.
+   Both scenarios drive the same upsert workload and restart check. *)
+
+module Upserts (E : Engine.S) = struct
+  type t = {
+    db : Db.t;
+    eng : E.t;
+    table : E.table;
+    model : (int, int) Hashtbl.t; (* committed pk -> value *)
+    mutable attempted : int;
+    mutable committed : int;
+    mutable read_only : int; (* writers refused by degraded mode *)
+    mutable shed : int; (* admissions refused by backpressure *)
+  }
+
+  let create db =
+    let eng = E.create db in
+    let table = E.create_table eng ~name:"t" ~pk_col:0 () in
+    {
+      db;
+      eng;
+      table;
+      model = Hashtbl.create 64;
+      attempted = 0;
+      committed = 0;
+      read_only = 0;
+      shed = 0;
+    }
+
+  (* one write transaction; a mid-transaction Read_only (the log filled
+     while the row was being logged) aborts it like any other failure *)
+  let one w body =
+    let txn = E.begin_txn w.eng in
+    match body txn with
+    | Ok () -> (
+        try
+          match E.commit w.eng txn with
+          | Ok () -> `Committed
+          | Error _ -> `Conflict
+        with Db.Read_only _ -> `Read_only)
+    | Error _ ->
+        E.abort w.eng txn;
+        `Conflict
+    | exception Db.Read_only _ ->
+        E.abort w.eng txn;
+        `Read_only
+
+  let upsert w k n =
+    match one w (fun txn -> E.insert w.eng txn w.table [| Value.Int k; Value.Int n |]) with
+    | `Conflict ->
+        one w (fun txn ->
+            E.update w.eng txn w.table ~pk:k (fun r ->
+                let r = Array.copy r in
+                r.(1) <- Value.Int n;
+                r))
+    | r -> r
+
+  (* Op [n]: through the admission gate, upsert key [1 + n mod 40] to [n]. *)
+  let step w n =
+    match Contention.admit w.db.Db.contention with
+    | Contention.Shed -> w.shed <- w.shed + 1
+    | Contention.Admitted ->
+        w.attempted <- w.attempted + 1;
+        let k = 1 + (n mod 40) in
+        (match upsert w k n with
+        | `Committed ->
+            Hashtbl.replace w.model k n;
+            w.committed <- w.committed + 1
+        | `Read_only -> w.read_only <- w.read_only + 1
+        | `Conflict -> ());
+        Contention.release w.db.Db.contention
+
+  (* Crash, recover, and compare: the recovered state must serve exactly
+     the committed model, which under reclamation forces the checkpoint
+     CLOG snapshot and the truncated-log redo path to carry their
+     weight. [Error] names the first difference. *)
+  let restart w =
+    Db.crash w.db;
+    match E.recover w.eng with
+    | exception e -> Error ("recovery raised " ^ Printexc.to_string e)
+    | () ->
+        let txn = E.begin_txn w.eng in
+        let wrong =
+          Hashtbl.to_seq w.model
+          |> Seq.find_map (fun (k, v) ->
+                 match E.read w.eng txn w.table ~pk:k with
+                 | Some r when Value.int r.(1) = v -> None
+                 | Some r ->
+                     Some (Printf.sprintf "pk %d: %d, committed %d" k (Value.int r.(1)) v)
+                 | None -> Some (Printf.sprintf "pk %d: missing, committed %d" k v))
+        in
+        let visible = E.scan w.eng txn w.table (fun _ -> ()) in
+        ignore (E.commit w.eng txn);
+        match wrong with
+        | Some d -> Error d
+        | None when visible <> Hashtbl.length w.model ->
+            Error
+              (Printf.sprintf "%d rows visible, %d committed" visible
+                 (Hashtbl.length w.model))
+        | None -> Ok ()
+end
 
 type oos_outcome = {
   attempted : int;
@@ -404,6 +504,7 @@ type oos_outcome = {
 
 let oos_run ?(hold = false) ?(ops = 400) ~engine ~wal_capacity_bytes () =
   let _, (module E : Engine.S) = Engine.resolve_exn engine in
+  let module W = Upserts (E) in
   let bus = Bus.create () in
   let reclaims = ref 0 and bp_on = ref 0 and bp_off = ref 0 in
   Bus.subscribe bus (function
@@ -414,82 +515,50 @@ let oos_run ?(hold = false) ?(ops = 400) ~engine ~wal_capacity_bytes () =
   (* a retention hold pinning the whole log makes reclamation futile, so
      the database must degrade instead of thrashing on checkpoints *)
   if hold then ignore (Wal.register_hold db.Db.wal ~name:"chaos-hold");
-  let eng = E.create db in
-  let table = E.create_table eng ~name:"t" ~pk_col:0 () in
-  let model = Hashtbl.create 64 in
-  let attempted = ref 0 and committed = ref 0 in
-  let read_only = ref 0 and shed = ref 0 in
-  (* one write transaction; a mid-transaction Read_only (the log filled
-     while the row was being logged) aborts it like any other failure *)
-  let one body =
-    let txn = E.begin_txn eng in
-    match body txn with
-    | Ok () -> (
-        try
-          match E.commit eng txn with
-          | Ok () -> `Committed
-          | Error _ -> `Conflict
-        with Db.Read_only _ -> `Read_only)
-    | Error _ ->
-        E.abort eng txn;
-        `Conflict
-    | exception Db.Read_only _ ->
-        E.abort eng txn;
-        `Read_only
-  in
-  let upsert k n =
-    match one (fun txn -> E.insert eng txn table [| Value.Int k; Value.Int n |]) with
-    | `Conflict ->
-        one (fun txn ->
-            E.update eng txn table ~pk:k (fun r ->
-                let r = Array.copy r in
-                r.(1) <- Value.Int n;
-                r))
-    | r -> r
-  in
+  let w = W.create db in
   for n = 1 to ops do
     if n mod 10 = 0 then begin
       Simclock.advance db.Db.clock 0.05;
       Db.tick db
     end;
-    match Contention.admit db.Db.contention with
-    | Contention.Shed -> incr shed
-    | Contention.Admitted ->
-        incr attempted;
-        let k = 1 + (n mod 40) in
-        (match upsert k n with
-        | `Committed ->
-            Hashtbl.replace model k n;
-            incr committed
-        | `Read_only -> incr read_only
-        | `Conflict -> ());
-        Contention.release db.Db.contention
+    W.step w n
   done;
   let degraded = Db.degraded db in
-  (* restart: the recovered state must serve exactly the committed model,
-     which under reclamation forces the checkpoint CLOG snapshot and the
-     truncated-log redo path to carry their weight *)
-  Db.crash db;
-  E.recover eng;
-  let txn = E.begin_txn eng in
-  let consistent = ref true in
-  Hashtbl.iter
-    (fun k v ->
-      match E.read eng txn table ~pk:k with
-      | Some r when Value.int r.(1) = v -> ()
-      | _ -> consistent := false)
-    model;
-  let visible = E.scan eng txn table (fun _ -> ()) in
-  ignore (E.commit eng txn);
-  if visible <> Hashtbl.length model then consistent := false;
   {
-    attempted = !attempted;
-    committed = !committed;
-    read_only_errors = !read_only;
-    shed = !shed;
+    attempted = w.W.attempted;
+    committed = w.W.committed;
+    read_only_errors = w.W.read_only;
+    shed = w.W.shed;
     reclaims = !reclaims;
     backpressure_on = !bp_on;
     backpressure_off = !bp_off;
     degraded;
-    consistent = !consistent;
+    consistent = Result.is_ok (W.restart w);
   }
+
+type sweep_outcome = {
+  positions : int;
+  failures : (int * string) list;
+  degraded_runs : int;
+}
+
+let crash_sweep ~index ~engine () =
+  let positions = 300 in
+  let _, (module E : Engine.S) = Engine.resolve_exn engine in
+  let module W = Upserts (E) in
+  let failures = ref [] and degraded_runs = ref 0 in
+  for k = 1 to positions do
+    let db =
+      Db.create ~buffer_pages:128 ~wal_capacity_bytes:20_000
+        ~index:(index_kind index) ()
+    in
+    let w = W.create db in
+    for n = 1 to k do
+      W.step w n
+    done;
+    if Db.degraded db <> None then incr degraded_runs;
+    match W.restart w with
+    | Ok () -> ()
+    | Error why -> failures := (k, why) :: !failures
+  done;
+  { positions; failures = List.rev !failures; degraded_runs = !degraded_runs }

@@ -65,7 +65,9 @@ type oos_outcome = {
   committed : int;
   read_only_errors : int;  (** writers refused with {!Mvcc.Db.Read_only} *)
   shed : int;  (** admissions refused by watermark backpressure *)
-  reclaims : int;  (** emergency WAL reclamations observed on the bus *)
+  reclaims : int;
+      (** WAL reclamations observed on the bus (each runs between
+          operations, at a transaction begin or a tick) *)
   backpressure_on : int;
   backpressure_off : int;
   degraded : string option;  (** final degraded-mode reason, if entered *)
@@ -87,3 +89,22 @@ val oos_run :
     [hold] (a retention hold pinning the whole log) reclamation is futile
     and the database must degrade to loud read-only instead of thrashing.
     Default 400 ops. *)
+
+(** {1 Crash-position sweep} *)
+
+type sweep_outcome = {
+  positions : int;  (** crash positions tried: after op 1, 2, ... *)
+  failures : (int * string) list;
+      (** [(k, why)] for every position [k] whose recovery raised or
+          whose recovered rows differ from the committed model *)
+  degraded_runs : int;
+      (** positions whose run went loudly read-only before the crash *)
+}
+
+val crash_sweep : index:string -> engine:string -> unit -> sweep_outcome
+(** For every [k] in [1..300]: a fresh database with
+    a 128-page pool and a 20 KB WAL, [k] ops of the {!oos_run} upsert
+    workload over 40 keys with no ticks (so reclamation runs only at
+    transaction begins), a crash, recovery, and a check that the
+    recovered rows equal the committed model. [index] is "array" or
+    "paged". *)

@@ -141,17 +141,6 @@ let bus t = t.bus
 let observed t = Bus.active t.bus
 let emit t e = Bus.publish t.bus e
 
-let begin_txn ?(read_only = false) ?(deferrable = false) t =
-  let txn = Txn.begin_txn ~now:(now t) t.txnmgr in
-  (match t.ssi with
-  | Some s -> Ssimgr.on_begin s txn ~read_only ~deferrable
-  | None -> ());
-  if observed t then begin
-    emit t (Bus.Txn_begin { xid = txn.Txn.xid });
-    emit t (Event.Txn_snapshot { xid = txn.Txn.xid; snapshot = txn.Txn.snapshot })
-  end;
-  txn
-
 (* ---------------- isolation hooks ----------------
 
    All four engines call these from their read/write/scan paths; under
@@ -200,16 +189,24 @@ let checkpoint_payload t =
   Bytes.blit_string image 0 b 8 (String.length image);
   b
 
-(* Emergency WAL reclamation: checkpoint the pool (every retained heap
-   record is now redundant with the on-device pages), append a checkpoint
-   record carrying the CLOG snapshot (exempt from the capacity check —
-   the reserved emergency region), force it durable, then drop everything
+(* WAL reclamation: checkpoint the pool (every retained heap record is
+   now redundant with the on-device pages), append a checkpoint record
+   carrying the CLOG snapshot (exempt from the capacity check — the
+   reserved emergency region), force it durable, then drop everything
    below it. Any crash window leaves either the full old log or the
    checkpoint record onward — never a gap. Retention holds (a standby
    still catching up) clamp the truncation as usual, so reclamation can
    legitimately free nothing. The [last_reclaim_lsn] guard stops a full
    log from provoking a checkpoint-record storm: if no record was
-   appended since the last attempt, trying again cannot help. *)
+   appended since the last attempt, trying again cannot help. It does
+   not skip a log pinned above the low watermark by a hold while
+   transactions keep appending: then every {!begin_txn} checkpoints and
+   frees nothing.
+
+   Only {!wal_pressure} calls this, and only between operations: a
+   checkpoint taken inside an operation would flush a page whose change
+   has not been logged yet, stamped with the previous record's LSN, and
+   redo would then apply the change a second time. *)
 let reclaim_wal t =
   if Wal.current_lsn t.wal = t.last_reclaim_lsn then false
   else begin
@@ -228,27 +225,25 @@ let reclaim_wal t =
     freed > 0
   end
 
-(* Every WAL append from this layer funnels through here. Out of space:
-   reclaim once and retry; if the log is still full (holds, or one giant
-   record) the database degrades to loud read-only rather than crashing
-   or silently dropping updates. *)
+(* Every WAL append from this layer funnels through here. A record that
+   does not fit is refused, never made room for: the operation is half
+   done (a heap page may already carry its change), so the database
+   degrades to loud read-only rather than checkpointing mid-operation,
+   crashing or silently dropping updates. *)
 let append_wal t ~xid ~rel ~kind ~payload =
   (match t.degraded with
   | Some reason -> raise (Read_only { reason })
   | None -> ());
   try Wal.append t.wal ~xid ~rel ~kind ~payload
-  with Wal.Out_of_space _ -> (
-    ignore (reclaim_wal t);
-    try Wal.append t.wal ~xid ~rel ~kind ~payload
-    with Wal.Out_of_space { needed; capacity; retained } ->
-      let reason =
-        Printf.sprintf
-          "WAL full: %d bytes needed against a capacity of %d (%d bytes still \
-           retained after emergency reclamation)"
-          needed capacity retained
-      in
-      enter_degraded t ~subsystem:"wal" ~reason;
-      raise (Read_only { reason }))
+  with Wal.Out_of_space { needed; capacity; retained } ->
+    let reason =
+      Printf.sprintf
+        "WAL full: %d bytes needed against a capacity of %d (%d bytes \
+         retained since the last reclamation)"
+        needed capacity retained
+    in
+    enter_degraded t ~subsystem:"wal" ~reason;
+    raise (Read_only { reason })
 
 let abort t txn =
   Crashpoint.reach "db.abort.pre";
@@ -325,40 +320,44 @@ let charge_cpu t n = Simclock.advance t.clock (float_of_int n *. t.cpu_op_s)
 let add_ticker t f = t.tickers <- t.tickers @ [ f ]
 let set_wal_logging t b = t.wal_logging <- b
 
-(* Watermark backpressure: above 85% of WAL capacity, reclaim and — if
-   still high (holds pinning the tail) — shed new admissions until usage
-   falls back under 60%. Unbounded logs (the default) never enter. *)
+(* Watermark backpressure, run between operations only (at every
+   {!begin_txn} and {!tick}): from 60% of WAL capacity, reclaim; if usage
+   is still at 85% or more (holds pinning the tail), shed new admissions
+   until it falls back to 60% or less. This is the only place the log is
+   reclaimed. Unbounded logs (the default) never enter. *)
 let high_watermark = 0.85
 let low_watermark = 0.60
 
 let wal_pressure t =
   match Wal.capacity_bytes t.wal with
   | Some cap when t.degraded = None ->
-      let usage_of b = float_of_int b /. float_of_int cap in
-      let usage = usage_of (Wal.retained_bytes t.wal) in
-      if usage >= high_watermark then begin
-        ignore (reclaim_wal t);
-        let usage' = usage_of (Wal.retained_bytes t.wal) in
-        if usage' >= high_watermark then begin
-          if not (Contention.backpressure t.contention) then begin
-            Contention.set_backpressure t.contention true;
-            if observed t then
-              emit t (Bus.Backpressure { on = true; usage = usage' })
-          end
-        end
-        else if Contention.backpressure t.contention && usage' <= low_watermark
-        then begin
-          Contention.set_backpressure t.contention false;
-          if observed t then
-            emit t (Bus.Backpressure { on = false; usage = usage' })
-        end
+      let retained () =
+        float_of_int (Wal.retained_bytes t.wal) /. float_of_int cap
+      in
+      if retained () >= low_watermark then ignore (reclaim_wal t);
+      let usage = retained () in
+      let shedding = Contention.backpressure t.contention in
+      if usage >= high_watermark && not shedding then begin
+        Contention.set_backpressure t.contention true;
+        if observed t then emit t (Bus.Backpressure { on = true; usage })
       end
-      else if usage <= low_watermark && Contention.backpressure t.contention
-      then begin
+      else if usage <= low_watermark && shedding then begin
         Contention.set_backpressure t.contention false;
         if observed t then emit t (Bus.Backpressure { on = false; usage })
       end
   | Some _ | None -> ()
+
+let begin_txn ?(read_only = false) ?(deferrable = false) t =
+  wal_pressure t;
+  let txn = Txn.begin_txn ~now:(now t) t.txnmgr in
+  (match t.ssi with
+  | Some s -> Ssimgr.on_begin s txn ~read_only ~deferrable
+  | None -> ());
+  if observed t then begin
+    emit t (Bus.Txn_begin { xid = txn.Txn.xid });
+    emit t (Event.Txn_snapshot { xid = txn.Txn.xid; snapshot = txn.Txn.snapshot })
+  end;
+  txn
 
 let tick t =
   Commitpipe.tick t.commitpipe;

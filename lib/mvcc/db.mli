@@ -56,12 +56,12 @@ type t = {
           WAL has finite capacity, to tell writers from read-only
           transactions at commit once degraded *)
   mutable degraded : string option;
-      (** loud read-only degraded mode: [Some reason] once emergency
-          reclamation failed to make room for a record; writers raise
+      (** loud read-only degraded mode: [Some reason] once a record did
+          not fit in the capacity-bounded log; writers raise
           {!Read_only}, readers proceed. Cleared by {!crash} (restart). *)
   mutable last_reclaim_lsn : int;
-      (** WAL head when emergency reclamation last ran; a retry with no
-          new records in between is skipped (checkpoint-record storms) *)
+      (** WAL head when reclamation last ran; a retry with no new
+          records in between is skipped (checkpoint-record storms) *)
   isolation : Isolation.level;
       (** the context's isolation level; every registered engine composes
           with every level (the level lives here, not in the engine) *)
@@ -79,8 +79,8 @@ type t = {
 }
 
 exception Read_only of { reason : string }
-(** The database is in read-only degraded mode (out of WAL space even
-    after emergency reclamation); the writing transaction was aborted. *)
+(** The database is in read-only degraded mode (a WAL record did not fit
+    in the capacity-bounded log); the writing transaction was aborted. *)
 
 exception Serialization_failure of { xid : int; reason : string }
 (** The isolation level's commit rule (SSI dangerous-structure check or
@@ -150,7 +150,13 @@ val begin_txn : ?read_only:bool -> ?deferrable:bool -> t -> Sias_txn.Txn.t
     the intent) lets a transaction that begins with no concurrent
     transactions run on a {e safe snapshot}: exempt from all
     serializability tracking, guaranteed never to abort. Both default
-    to [false] and are ignored under [`Si]. *)
+    to [false] and are ignored under [`Si].
+
+    With a capacity-bounded WAL, beginning a transaction is an operation
+    boundary: it first applies the WAL watermarks, as {!tick} does —
+    from 60% usage checkpoint and truncate the log, and shed admissions
+    while usage stays at 85% or more. These two are the only places the
+    log is reclaimed. *)
 
 val commit : t -> Sias_txn.Txn.t -> unit
 (** Append the commit record and route it through the commit pipeline —
@@ -182,8 +188,8 @@ val charge_cpu : t -> int -> unit
 (** [charge_cpu db n] advances the clock by [n] row-operation costs. *)
 
 val tick : t -> unit
-(** Run flush-policy work that has become due, then any registered
-    auxiliary tickers. *)
+(** Run flush-policy work that has become due, apply the WAL watermarks
+    (see {!begin_txn}), then any registered auxiliary tickers. *)
 
 val add_ticker : t -> (unit -> unit) -> unit
 (** Register auxiliary periodic work to run on every {!tick}, after the
@@ -200,22 +206,15 @@ val crash : t -> unit
     power cut would. Durable state — device sectors and the flushed WAL
     prefix — survives; call the engine's [recover] afterwards. *)
 
-val reclaim_wal : t -> bool
-(** Emergency WAL reclamation: checkpoint the pool, append a checkpoint
-    record carrying the CLOG snapshot (exempt from the capacity check),
-    flush synchronously, then truncate below it — clamped by retention
-    holds. Returns whether any bytes were freed. No-op (returns [false])
-    when no record was appended since the last reclamation. *)
-
 val degraded : t -> string option
 (** [Some reason] while in read-only degraded mode. *)
 
 val append_wal :
   t -> xid:int -> rel:int -> kind:Sias_wal.Wal.kind -> payload:bytes -> int
-(** WAL append with out-of-space handling: on [Wal.Out_of_space], run
-    {!reclaim_wal} and retry once; if still full, enter degraded mode and
-    raise {!Read_only}. Raises {!Read_only} immediately when already
-    degraded. *)
+(** One WAL append attempt. On [Wal.Out_of_space] enter degraded mode
+    and raise {!Read_only} — the log is never reclaimed inside an
+    operation (see {!begin_txn}). Raises {!Read_only} immediately when
+    already degraded. *)
 
 val log_op :
   t ->

@@ -129,16 +129,9 @@ let log_heap ?append_only db ~xid ~rel ~kind ~tid ~item =
       Db.log_op db ~xid ~rel ~kind:Wal.Full_page
         ~payload:(encode ?append_only tid image)
     in
-    (* An emergency WAL reclamation inside [log_op] appends its own
-       checkpoint record first, so the image's record can land past the
-       pre-stamped lsn. The stamp inside the captured image stays at the
-       older value — still monotonic, since nothing else touched this
-       page in between — but the pooled page must carry the record's
-       real lsn for write-back ordering. *)
-    assert (lsn' >= lsn);
-    if lsn' <> lsn then
-      Bufpool.with_page db.Db.pool ~rel ~block (fun page ->
-          Page.set_lsn page lsn')
+    (* the log is reclaimed only between operations, so nothing can
+       append between the stamp and this record *)
+    assert (lsn' = lsn)
   end
   else begin
     let lsn = Db.log_op db ~xid ~rel ~kind ~payload:(encode ?append_only tid item) in
@@ -171,11 +164,7 @@ let log_index db ~rel (deltas : Pbt.delta list) =
           Db.log_op db ~xid:0 ~rel ~kind:Wal.Full_page
             ~payload:(encode (Tid.make ~block ~slot:0) image)
         in
-        (* same emergency-reclamation race as in [log_heap] *)
-        assert (lsn' >= lsn);
-        if lsn' <> lsn then
-          Bufpool.with_page db.Db.pool ~rel ~block (fun page ->
-              Page.set_lsn page lsn')
+        assert (lsn' = lsn)
       end)
     (delta_blocks deltas);
   Db.log_op db ~xid:0 ~rel ~kind:Wal.Ix_batch ~payload:(encode_deltas deltas)

@@ -69,8 +69,9 @@ type event +=
       (** a remote-flush commit gave up waiting on the standby (partition
           or persistent loss) and acknowledged on local durability alone *)
   | Wal_reclaim of { upto_lsn : int; freed_bytes : int }
-      (** an emergency checkpoint recycled the log below [upto_lsn]
-          (capacity pressure), freeing [freed_bytes] *)
+      (** a checkpoint taken between operations under capacity
+          pressure recycled the log below [upto_lsn], freeing
+          [freed_bytes] *)
   | Backpressure of { on : bool; usage : float }
       (** the admission gate toggled resource-exhaustion shedding at the
           given WAL usage fraction *)

@@ -236,12 +236,12 @@ let on_event st e =
   | Bus.Wal_reclaim { freed_bytes; _ } ->
       Metrics.incr
         (memo st.pressure "wal_reclaims" (fun () ->
-             Metrics.counter st.m ~help:"Emergency WAL reclamations"
+             Metrics.counter st.m ~help:"WAL reclamations under capacity pressure"
                "sias_wal_reclaims_total"));
       Metrics.add
         (memo st.pressure "wal_reclaimed_bytes" (fun () ->
              Metrics.counter st.m
-               ~help:"WAL bytes recycled by emergency reclamation"
+               ~help:"WAL bytes recycled by reclamation"
                "sias_wal_reclaimed_bytes_total"))
         freed_bytes
   | Bus.Backpressure { on; _ } ->

@@ -6,8 +6,10 @@
    fixpoint) — and requires each schedule to end byte-equal to the model
    prefix at the commit horizon, with a clean SI-checker verdict and
    idempotent recovery. The out-of-space scenarios drive a finite WAL to
-   exhaustion and require either successful emergency reclamation or a
-   loud, typed, read-only degradation — never corruption or a crash.
+   exhaustion and require either successful reclamation between
+   operations or a loud, typed, read-only degradation — never corruption
+   or a crash — and the crash-position sweep recovers a bounded-WAL run
+   after every single op.
 
    Bounded by default ([max_schedules]); CHAOS_FULL=1 removes the budget
    for the full enumeration (the [make chaos] CI target). *)
@@ -217,6 +219,16 @@ let test_oos_hard_degraded () =
   checki "nothing committed" 0 o.Chaosrun.committed;
   check "restart serves the committed model" true o.Chaosrun.consistent
 
+(* ---- bounded WAL: recovery at every crash position ---- *)
+
+let test_crash_sweep engine index () =
+  let o = Chaosrun.crash_sweep ~engine ~index () in
+  List.iteri
+    (fun i (k, why) -> if i < 5 then Printf.printf "crash after op %d: %s\n" k why)
+    o.Chaosrun.failures;
+  checki "positions whose recovery failed or diverged from the model" 0
+    (List.length o.Chaosrun.failures)
+
 let suite =
   let modes =
     [
@@ -288,4 +300,13 @@ let suite =
         Alcotest.test_case "oos: capacity below one page image is refused"
           `Quick test_oos_hard_degraded;
       ];
+      List.concat_map
+        (fun e ->
+          List.map
+            (fun ix ->
+              Alcotest.test_case
+                (Printf.sprintf "oos: %s/%s recovers at every crash position" e ix)
+                `Slow (test_crash_sweep e ix))
+            [ "array"; "paged" ])
+        engines;
     ]

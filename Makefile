@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check bench micro determinism multicore demo contention obs groupcommit repl isolation chaos index clean
+.PHONY: all build test check bench determinism multicore demo contention obs groupcommit repl isolation chaos index clean
 
 # Every registered engine; the per-engine smoke targets loop over it.
 ENGINES := si si-cv sias sias-v
@@ -17,15 +17,6 @@ check: build test
 
 bench:
 	dune exec bench/main.exe
-
-# Wall-clock microbenchmarks over the engine hot paths (point read,
-# scan, update, visibility-heavy scan, TPC-C NOTPM) with a
-# machine-readable summary. Pass BASELINE=path/to/old.json to print
-# speedups against a previously recorded run.
-micro:
-	mkdir -p _obs
-	dune exec bench/main.exe -- micro --bench-out _obs/BENCH_5.json \
-	  $(if $(BASELINE),--bench-baseline $(BASELINE),)
 
 # Simulated results are part of the model: the default-seed run of every
 # engine x isolation level must reproduce the committed golden output

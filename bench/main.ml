@@ -16,10 +16,9 @@ module W = Tpcc.Tpcc_workload
 module T = Sias_util.Tablefmt
 module B = Flashsim.Blocktrace
 
-(* What every experiment is handed: paper-scale or quick parameters, the
-   run function (run_tpcc under the command line's overlay), and the
-   --bench-baseline JSON path. *)
-type ctx = { full : bool; run : setup -> output; baseline : string option }
+(* What every experiment is handed: paper-scale or quick parameters and
+   the run function (run_tpcc under the command line's overlay). *)
+type ctx = { full : bool; run : setup -> output }
 
 (* A BENCH JSON value; a section prints all its numbers with one
    precision. *)
@@ -933,302 +932,12 @@ let ablation_index c =
          must stay <= SI with the paged index";
   }
 
-(* ------------------------------------------------------------------ *)
-(* bench micro: wall-clock ops/sec on the engine hot paths             *)
+(* BENCH JSON sections in the order every record carries them. *)
+let section_order = [ "repl"; "isolation"; "index"; "multicore" ]
 
-(* Unlike everything above, these measure host wall time, not simulated
-   time: they exist to prove the hot-path data structures (hint bits,
-   array CLOG, binary-search snapshots, fixed-slot vectors) got faster.
-   Simulated results are byte-identical by construction; wall clock is
-   where the win shows. --bench-out writes BENCH_5.json; --bench-baseline
-   embeds a pre-change run's JSON and prints the speedups. *)
-
-(* CLOCK_MONOTONIC, not [Unix.gettimeofday]: wall-of-day steps under NTP
-   slew/step, so a timed window could be negative or wildly long and a
-   "peak rate" could be fiction. The monotonic clock cannot go back. *)
-let wall = Sias_util.Monotime.now
-
-(* Best-of-trials peak rate: short timed windows, keep the fastest. The
-   max filters out bursty interference from a shared host, which a single
-   long window folds into the mean. [batch] returns its op count. *)
-let time_ops c batch =
-  ignore (batch ());
-  let min_time = if c.full then 2.0 else 0.4 in
-  let trials = if c.full then 12 else 6 in
-  let window = Float.max 0.05 (min_time /. float_of_int trials) in
-  let best = ref 0.0 in
-  for _ = 1 to trials do
-    let t0 = wall () in
-    let ops = ref 0 in
-    while wall () -. t0 < window do
-      ops := !ops + batch ()
-    done;
-    let rate = float_of_int !ops /. Float.max 1e-9 (wall () -. t0) in
-    if rate > !best then best := rate
-  done;
-  !best
-
-let micro_engine c key (module E : Mvcc.Engine.S) =
-  let module V = Mvcc.Value in
-  let rng = Sias_util.Rng.create 99 in
-  (* plain table: point reads, scans, updates *)
-  let db = Mvcc.Db.create ~buffer_pages:4096 () in
-  let eng = E.create db in
-  let plain = E.create_table eng ~name:"plain" ~pk_col:0 () in
-  let n_plain = 2_000 in
-  let txn = E.begin_txn eng in
-  for k = 1 to n_plain do
-    E.insert eng txn plain [| V.Int k; V.Str (String.make 40 'p') |] |> Result.get_ok
-  done;
-  E.commit eng txn |> Result.get_ok;
-  let reader = E.begin_txn eng in
-  let point_read =
-    time_ops c (fun () ->
-        for _ = 1 to 256 do
-          ignore (E.read eng reader plain ~pk:(1 + Sias_util.Rng.int rng n_plain))
-        done;
-        256)
-  in
-  let scan = time_ops c (fun () -> E.scan eng reader plain (fun _ -> ())) in
-  E.commit eng reader |> Result.get_ok;
-  let update =
-    time_ops c (fun () ->
-        let txn = E.begin_txn eng in
-        let ok = ref 0 in
-        for _ = 1 to 64 do
-          match
-            E.update eng txn plain ~pk:(1 + Sias_util.Rng.int rng n_plain) (fun r -> r)
-          with
-          | Ok () -> incr ok
-          | Error _ -> ()
-        done;
-        E.commit eng txn |> Result.get_ok;
-        !ok)
-  in
-  (* paged B+Tree probes: the same hot paths routed through the
-     WAL-logged slotted-page index instead of the in-memory array tree
-     (decode-on-access, buffer-pool pins, WAL-first inserts) *)
-  let db = Mvcc.Db.create ~buffer_pages:4096 ~index:`Paged () in
-  let eng_p = E.create db in
-  let paged = E.create_table eng_p ~name:"paged" ~pk_col:0 () in
-  let n_paged = 2_000 in
-  let txn = E.begin_txn eng_p in
-  for k = 1 to n_paged do
-    E.insert eng_p txn paged [| V.Int k; V.Str (String.make 40 'q') |]
-    |> Result.get_ok
-  done;
-  E.commit eng_p txn |> Result.get_ok;
-  let reader = E.begin_txn eng_p in
-  let btree_point =
-    time_ops c (fun () ->
-        for _ = 1 to 256 do
-          ignore (E.read eng_p reader paged ~pk:(1 + Sias_util.Rng.int rng n_paged))
-        done;
-        256)
-  in
-  let btree_range =
-    time_ops c (fun () ->
-        let lo = 1 + Sias_util.Rng.int rng (n_paged - 128) in
-        List.length (E.range_pk eng_p reader paged ~lo ~hi:(lo + 127)))
-  in
-  E.commit eng_p reader |> Result.get_ok;
-  let next_key = ref (n_paged + 1) in
-  let btree_insert =
-    time_ops c (fun () ->
-        let txn = E.begin_txn eng_p in
-        for _ = 1 to 64 do
-          E.insert eng_p txn paged [| V.Int !next_key; V.Str "i" |]
-          |> Result.get_ok;
-          incr next_key
-        done;
-        E.commit eng_p txn |> Result.get_ok;
-        64)
-  in
-  (* visibility-heavy scan: deep version history read under snapshots
-     with a large concurrent set -- the hot path the hint bits, array
-     CLOG and binary-search snapshots attack *)
-  let db = Mvcc.Db.create ~buffer_pages:8192 () in
-  let eng = E.create db in
-  let hot = E.create_table eng ~name:"hot" ~pk_col:0 () in
-  let n_hot = 400 in
-  let txn = E.begin_txn eng in
-  for k = 1 to n_hot do
-    E.insert eng txn hot [| V.Int k; V.Str (String.make 24 'h') |] |> Result.get_ok
-  done;
-  E.commit eng txn |> Result.get_ok;
-  (* deep version history, half of it from aborted writers: a scan must
-     reject every aborted and superseded version it meets *)
-  for round = 1 to 24 do
-    let txn = E.begin_txn eng in
-    for k = 1 to n_hot do
-      E.update eng txn hot ~pk:k (fun r -> r) |> Result.get_ok
-    done;
-    if round land 1 = 0 then E.abort eng txn else E.commit eng txn |> Result.get_ok
-  done;
-  (* a crowd of transactions stays open so every snapshot carries a big
-     concurrent set, and the crowd keeps the CLOG busy *)
-  let crowd = List.init 2_000 (fun _ -> E.begin_txn eng) in
-  let reader = E.begin_txn eng in
-  ignore (E.scan eng reader hot (fun _ -> ()));
-  let vis_scan = time_ops c (fun () -> E.scan eng reader hot (fun _ -> ())) in
-  E.commit eng reader |> Result.get_ok;
-  List.iter (fun t -> E.abort eng t) crowd;
-  (* the simulated headline number, for the record *)
-  let t0 = wall () in
-  let o =
-    c.run
-      {
-        (default_setup ~engine:key ~warehouses:2) with
-        duration_s = 10.0;
-        buffer_pages = 1024;
-        scale_div = 300;
-        gc_interval_s = Some 30.0;
-      }
-  in
-  let tpcc_wall = wall () -. t0 in
-  [
-    ("point_read_ops_per_s", point_read);
-    ("scan_rows_per_s", scan);
-    ("update_ops_per_s", update);
-    ("btree_point_lookup_ops_per_s", btree_point);
-    ("btree_range_scan_rows_per_s", btree_range);
-    ("btree_insert_ops_per_s", btree_insert);
-    ("visibility_scan_rows_per_s", vis_scan);
-    ("notpm", o.result.W.notpm);
-    ("tpcc_wall_s", tpcc_wall);
-  ]
-
-(* Engine-independent visibility check: the bare isVisible predicate
-   against a populated transaction manager -- CLOG representation and
-   snapshot membership with nothing else on the path. *)
-let micro_core c =
-  let module Txn = Sias_txn.Txn in
-  let mgr = Txn.create_mgr () in
-  let n = 20_000 in
-  let xids = Array.init n (fun _ -> Txn.begin_txn mgr) in
-  Array.iteri
-    (fun i t -> if i land 3 = 3 then Txn.abort mgr t else Txn.commit mgr t)
-    xids;
-  let crowd = List.init 2_000 (fun _ -> Txn.begin_txn mgr) in
-  let reader = Txn.begin_txn mgr in
-  let rng = Sias_util.Rng.create 7 in
-  let rate =
-    time_ops c (fun () ->
-        let hits = ref 0 in
-        for _ = 1 to 1024 do
-          if Txn.visible mgr reader.Txn.snapshot (1 + Sias_util.Rng.int rng n) then
-            incr hits
-        done;
-        1024)
-  in
-  Txn.commit mgr reader;
-  List.iter (fun t -> Txn.abort mgr t) crowd;
-  note "isVisible predicate (20k xids, 2k concurrent): %.0f checks/s" rate;
-  rate
-
-(* Pull ["<engine>": {... "<field>": <num> ...}] out of a baseline JSON
-   with plain string scanning -- no JSON dependency for one float. *)
-let baseline_field ~json ~engine ~field =
-  let find_from pos needle =
-    let n = String.length needle and len = String.length json in
-    let rec go i =
-      if i + n > len then None
-      else if String.sub json i n = needle then Some (i + n)
-      else go (i + 1)
-    in
-    go pos
-  in
-  match find_from 0 (Printf.sprintf "%S: {" engine) with
-  | None -> None
-  | Some p -> (
-      match find_from p (Printf.sprintf "%S: " field) with
-      | None -> None
-      | Some q ->
-          let r = ref q in
-          let len = String.length json in
-          while !r < len && not (List.mem json.[!r] [ ','; '}'; '\n' ]) do
-            incr r
-          done;
-          float_of_string_opt (String.trim (String.sub json q (!r - q))))
-
-let micro c =
-  section "Micro-benchmarks: wall-clock ops/sec on the engine hot paths";
-  let core_rate = micro_core c in
-  let results =
-    List.map (fun (key, m) -> (key, micro_engine c key m)) (Mvcc.Engine.all ())
-  in
-  let tbl =
-    T.create
-      [ "engine"; "point read/s"; "scan rows/s"; "update/s"; "vis-scan rows/s"; "NOTPM" ]
-  in
-  List.iter
-    (fun (key, fields) ->
-      let get f = List.assoc f fields in
-      T.add_row tbl
-        [
-          engine_name key;
-          T.fmt_float ~decimals:0 (get "point_read_ops_per_s");
-          T.fmt_float ~decimals:0 (get "scan_rows_per_s");
-          T.fmt_float ~decimals:0 (get "update_ops_per_s");
-          T.fmt_float ~decimals:0 (get "visibility_scan_rows_per_s");
-          T.fmt_float ~decimals:0 (get "notpm");
-        ])
-    results;
-  T.print tbl;
-  let tbl =
-    T.create
-      [ "engine (paged B+Tree)"; "point lookup/s"; "range rows/s"; "insert/s" ]
-  in
-  List.iter
-    (fun (key, fields) ->
-      let get f = List.assoc f fields in
-      T.add_row tbl
-        [
-          engine_name key;
-          T.fmt_float ~decimals:0 (get "btree_point_lookup_ops_per_s");
-          T.fmt_float ~decimals:0 (get "btree_range_scan_rows_per_s");
-          T.fmt_float ~decimals:0 (get "btree_insert_ops_per_s");
-        ])
-    results;
-  T.print tbl;
-  (match c.baseline with
-  | None -> ()
-  | Some path ->
-      let ic = open_in path in
-      let json = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      note "\nspeedup vs baseline (%s):" path;
-      (match baseline_field ~json ~engine:"core" ~field:"visibility_check_ops_per_s" with
-      | Some base when base > 0.0 ->
-          note "  %-12s isVisible predicate   %.2fx (%.0f -> %.0f checks/s)" "core"
-            (core_rate /. base) base core_rate
-      | _ -> ());
-      List.iter
-        (fun (key, fields) ->
-          match baseline_field ~json ~engine:key ~field:"visibility_scan_rows_per_s" with
-          | Some base when base > 0.0 ->
-              let now = List.assoc "visibility_scan_rows_per_s" fields in
-              note "  %-12s visibility-heavy scan %.2fx (%.0f -> %.0f rows/s)"
-                (engine_name key) (now /. base) base now
-          | _ -> note "  %-12s (no baseline figure)" (engine_name key))
-        results);
-  {
-    nothing with
-    sections =
-      [
-        rows "engines" results;
-        ("core", 1, fields [ ("visibility_check_ops_per_s", core_rate) ]);
-      ];
-  }
-
-(* BENCH JSON sections in the order every record has carried them;
-   "engines" is always present, empty unless micro ran. *)
-let section_order = [ "engines"; "core"; "repl"; "isolation"; "index"; "multicore" ]
-
-(* The BENCH record: mode, the run's total wall time, every section the
-   chosen experiments produced, and the embedded baseline if one was
-   given. *)
-let write_bench_json ~full ~baseline ~wall_s sections path =
+(* The BENCH record: mode, the run's total wall time and every section the
+   chosen experiments produced. *)
+let write_bench_json ~full ~wall_s sections path =
   let buf = Buffer.create 4096 in
   let rec emit ~decimals indent = function
     | Num v -> Buffer.add_string buf (Printf.sprintf "%.*f" decimals v)
@@ -1243,113 +952,24 @@ let write_bench_json ~full ~baseline ~wall_s sections path =
         Buffer.add_string buf ("\n" ^ indent ^ "}")
   in
   Buffer.add_string buf
-    (Printf.sprintf "{\n  \"bench\": \"sias micro\",\n  \"mode\": %S,\n  \"wall_time_s\": %.2f"
+    (Printf.sprintf "{\n  \"bench\": \"sias bench\",\n  \"mode\": %S,\n  \"wall_time_s\": %.2f"
        (if full then "full" else "quick")
        wall_s);
   List.iter
     (fun name ->
-      let found =
-        match List.filter (fun (n, _, _) -> n = name) sections with
-        | [] when name = "engines" -> [ rows name [] ]
-        | found -> found
-      in
       List.iter
-        (fun (_, decimals, body) ->
-          Buffer.add_string buf (Printf.sprintf ",\n  %S: " name);
-          emit ~decimals "  " body)
-        found)
+        (fun (n, decimals, body) ->
+          if n = name then begin
+            Buffer.add_string buf (Printf.sprintf ",\n  %S: " name);
+            emit ~decimals "  " body
+          end)
+        sections)
     section_order;
-  (match baseline with
-  | Some bpath when Sys.file_exists bpath ->
-      let ic = open_in bpath in
-      let json = String.trim (really_input_string ic (in_channel_length ic)) in
-      close_in ic;
-      if String.length json > 0 && json.[0] = '{' then begin
-        Buffer.add_string buf ",\n  \"baseline\": ";
-        Buffer.add_string buf json
-      end
-  | _ -> ());
   Buffer.add_string buf "\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "bench results -> %s\n%!" path
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the core data structures               *)
-
-let micro_structs _ =
-  section "Micro-benchmarks (Bechamel): core data-structure operations";
-  let open Bechamel in
-  let vidmap = Vidmap.create () in
-  for i = 0 to 99_999 do
-    let v = Vidmap.alloc_vid vidmap in
-    Vidmap.set vidmap ~vid:v (Sias_storage.Tid.make ~block:i ~slot:0)
-  done;
-  let rng = Sias_util.Rng.create 7 in
-  let test_vidmap_get =
-    Test.make ~name:"vidmap.get (C_R = O(1)+CPU)"
-      (Staged.stage (fun () ->
-           ignore (Vidmap.get vidmap ~vid:(Sias_util.Rng.int rng 100_000))))
-  in
-  let test_vidmap_set =
-    Test.make ~name:"vidmap.set (C_W = 2*C_R)"
-      (Staged.stage (fun () ->
-           Vidmap.set vidmap
-             ~vid:(Sias_util.Rng.int rng 100_000)
-             (Sias_storage.Tid.make ~block:1 ~slot:1)))
-  in
-  let mgr = Sias_txn.Txn.create_mgr () in
-  let txns = Array.init 64 (fun _ -> Sias_txn.Txn.begin_txn mgr) in
-  Array.iter (fun t -> Sias_txn.Txn.commit mgr t) txns;
-  let reader = Sias_txn.Txn.begin_txn mgr in
-  let test_visibility =
-    Test.make ~name:"isVisible (Algorithm 1 predicate)"
-      (Staged.stage (fun () ->
-           ignore
-             (Sias_txn.Txn.visible mgr reader.Sias_txn.Txn.snapshot
-                (1 + Sias_util.Rng.int rng 64))))
-  in
-  let clock = Sias_util.Simclock.create () in
-  let device = Flashsim.Device.ssd_x25e ~blocks:4096 () in
-  let pool = Sias_storage.Bufpool.create ~device ~clock ~capacity_pages:4096 () in
-  let btree = Sias_index.Btree.create pool ~rel:0 in
-  for k = 1 to 100_000 do
-    Sias_index.Btree.insert btree ~key:k ~payload:k
-  done;
-  let test_btree =
-    Test.make ~name:"btree.lookup (100k keys)"
-      (Staged.stage (fun () ->
-           ignore (Sias_index.Btree.lookup btree ~key:(1 + Sias_util.Rng.int rng 100_000))))
-  in
-  let page = Sias_storage.Page.create ~size:8192 in
-  let item = Bytes.make 100 'x' in
-  let test_page =
-    Test.make ~name:"page append+delete (slotted page)"
-      (Staged.stage (fun () ->
-           match Sias_storage.Page.insert page item with
-           | Some slot -> Sias_storage.Page.delete page slot
-           | None -> ()))
-  in
-  let tests =
-    Test.make_grouped ~name:"sias"
-      [ test_vidmap_get; test_vidmap_set; test_visibility; test_btree; test_page ]
-  in
-  let raw =
-    Benchmark.all
-      (Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ())
-      Toolkit.Instance.[ monotonic_clock ]
-      tests
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some [ est ] -> note "  %-50s %10.1f ns/op" name est
-      | _ -> note "  %-50s (no estimate)" name)
-    (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
 (* multicore: shared-nothing TPC-C sharded across OCaml 5 domains.
@@ -1443,12 +1063,10 @@ let experiments =
     ("repl", ablation_repl);
     ("isolation", ablation_isolation);
     ("index", ablation_index);
-    ("micro", micro);
-    ("structs", plain micro_structs);
     ("multicore", multicore_bench);
   ]
 
-let main names full bench_out baseline (o : Cli.overlay) =
+let main names full bench_out (o : Cli.overlay) =
   Option.iter
     (fun seed ->
       Printf.printf "fault injection: seed %d, profile %s\n%!" seed
@@ -1463,7 +1081,7 @@ let main names full bench_out baseline (o : Cli.overlay) =
      experiment wants *)
   Option.iter (fun p -> Printf.printf "metrics -> %s\n%!" p) o.metrics_out;
   Option.iter (fun p -> Printf.printf "trace -> %s\n%!" p) o.trace_out;
-  let ctx = { full; run = (fun s -> run_tpcc (Cli.fill_in o s)); baseline } in
+  let ctx = { full; run = (fun s -> run_tpcc (Cli.fill_in o s)) } in
   let chosen =
     List.concat_map
       (fun n -> if n = "all" then experiments else [ (n, List.assoc n experiments) ])
@@ -1475,7 +1093,7 @@ let main names full bench_out baseline (o : Cli.overlay) =
   Printf.printf "\n(total wall time %.1f s%s)\n" wall_s
     (if full then ", full mode" else ", quick mode; pass --full for paper-scale parameters");
   Option.iter
-    (write_bench_json ~full ~baseline ~wall_s
+    (write_bench_json ~full ~wall_s
        (List.concat_map (fun o -> o.sections) outcomes))
     bench_out;
   match List.concat_map (fun o -> o.failures) outcomes with
@@ -1492,14 +1110,15 @@ let () =
       & pos_all (enum (List.map (fun n -> (n, n)) ("all" :: List.map fst experiments))) []
       & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run, in order; all (the default) runs every one.")
   in
-  let path name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc) in
   Cli.eval
     (Cmd.v
        (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures and the ablation benches.")
        Term.(
          const main $ names
          $ Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale parameters instead of quick mode.")
-         $ path "bench-out" "Write the machine-readable BENCH record to $(docv)."
-         $ path "bench-baseline"
-             "Embed the BENCH record at $(docv) and print micro speedups against it."
+         $ Arg.(
+             value
+             & opt (some string) None
+             & info [ "bench-out" ] ~docv:"PATH"
+                 ~doc:"Write the machine-readable BENCH record to $(docv).")
          $ Cli.overlay))

@@ -78,7 +78,11 @@ let reset t =
   t.read_count <- 0;
   t.write_count <- 0
 
-let render_scatter ?(width = 78) ?(height = 22) t =
+(* Plot size in characters. *)
+let width = 78
+let height = 22
+
+let render_scatter t =
   let recs = records t in
   match recs with
   | [] -> "(empty trace)"
@@ -141,7 +145,9 @@ let to_csv t =
 (* Sequentiality: fraction of requests of the given kind whose sector
    immediately follows the previous same-kind request (within [slack]
    sectors) — the "append lane" signature of Figures 3/4. *)
-let sequentiality ?(slack = 64) t op =
+let slack = 64
+
+let sequentiality t op =
   let recs = List.filter (fun r -> r.op = op) (records t) in
   match recs with
   | [] | [ _ ] -> 0.0

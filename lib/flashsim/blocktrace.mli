@@ -53,14 +53,14 @@ val set_max_records : t -> int -> unit
     count discards the retained records (counting them as dropped) and
     restarts retention under the new cap. *)
 
-val render_scatter :
-  ?width:int -> ?height:int -> t -> string
-(** ASCII scatter plot in the style of Figures 3/4: x = time, y = sector;
-    ['r'] marks reads, ['W'] writes, ['#'] cells with both. *)
+val render_scatter : t -> string
+(** ASCII scatter plot in the style of Figures 3/4, 78 columns by 22
+    rows: x = time, y = sector; ['r'] marks reads, ['W'] writes, ['#']
+    cells with both. *)
 
-val sequentiality : ?slack:int -> t -> op -> float
+val sequentiality : t -> op -> float
 (** Fraction of same-kind requests that continue where the previous one
-    ended (within [slack] sectors): ~1 for an append stream, ~0 for
+    ended (within 64 sectors): ~1 for an append stream, ~0 for
     scattered access. Quantifies the Figures 3/4 write-lane contrast. *)
 
 val to_csv : t -> string

@@ -513,7 +513,7 @@ let oos_run ?(hold = false) ?(ops = 400) ~engine ~wal_capacity_bytes () =
     | _ -> ());
   let db = Db.create ~bus ~wal_capacity_bytes () in
   (* a retention hold pinning the whole log makes reclamation futile, so
-     the database must degrade instead of thrashing on checkpoints *)
+     the database must refuse writers loudly instead of checkpointing *)
   if hold then ignore (Wal.register_hold db.Db.wal ~name:"chaos-hold");
   let w = W.create db in
   for n = 1 to ops do

@@ -86,8 +86,10 @@ val oos_run :
   oos_outcome
 (** Drive an upsert workload against a finite-capacity WAL. Without
     [hold], reclamation keeps the workload running indefinitely; with
-    [hold] (a retention hold pinning the whole log) reclamation is futile
-    and the database must degrade to loud read-only instead of thrashing.
+    [hold] (a retention hold pinning the whole log) reclamation could free
+    nothing, so it never checkpoints, and the database must refuse
+    writers loudly (backpressure shedding or read-only degradation)
+    instead.
     Default 400 ops. *)
 
 (** {1 Crash-position sweep} *)

@@ -19,7 +19,6 @@ type t = {
   txnmgr : Txn.mgr;
   lockmgr : Lockmgr.t;
   bgwriter : Bgwriter.t;
-  cpu_op_s : float;
   append_seal_interval : float option;
   vidmap_paged : bool;
   faults : Flashsim.Faultdev.t option;
@@ -63,9 +62,12 @@ module Event = struct
     | Row_write of { xid : int; rel : int; pk : int; row : Value.t array option }
 end
 
+(* Simulated CPU seconds charged per logical row operation. *)
+let cpu_op_s = 5e-6
+
 let create ?bus ?device ?wal_device ?(buffer_pages = 2048)
     ?(flush_policy = Bgwriter.T2_checkpoint_only) ?(checkpoint_interval = 30.0)
-    ?(cpu_op_s = 5e-6) ?append_seal_interval ?os_cache_interval ?os_cache_pages ?(vidmap_paged = false) ?faults
+    ?append_seal_interval ?os_cache_interval ?os_cache_pages ?(vidmap_paged = false) ?faults
     ?(contention = Contention.default_settings) ?(commit_mode = Commitpipe.Sync)
     ?wal_capacity_bytes ?(isolation = `Si) ?(bufpool_shards = 1)
     ?(index = `Array) () =
@@ -112,7 +114,6 @@ let create ?bus ?device ?wal_device ?(buffer_pages = 2048)
     txnmgr;
     lockmgr;
     bgwriter;
-    cpu_op_s;
     append_seal_interval;
     vidmap_paged;
     faults;
@@ -196,19 +197,23 @@ let checkpoint_payload t =
    below it. Any crash window leaves either the full old log or the
    checkpoint record onward — never a gap. Retention holds (a standby
    still catching up) clamp the truncation as usual, so reclamation can
-   legitimately free nothing. The [last_reclaim_lsn] guard stops a full
-   log from provoking a checkpoint-record storm: if no record was
-   appended since the last attempt, trying again cannot help. It does
-   not skip a log pinned above the low watermark by a hold while
-   transactions keep appending: then every {!begin_txn} checkpoints and
-   frees nothing.
+   legitimately free nothing. Two guards stop a full log from provoking
+   a checkpoint-record storm: a hold at or below the oldest retained
+   record pins the whole log, so truncation could free nothing; and if
+   no record was appended since the last attempt, trying again cannot
+   help.
 
    Only {!wal_pressure} calls this, and only between operations: a
    checkpoint taken inside an operation would flush a page whose change
    has not been logged yet, stamped with the previous record's LSN, and
    redo would then apply the change a second time. *)
 let reclaim_wal t =
-  if Wal.current_lsn t.wal = t.last_reclaim_lsn then false
+  let pinned =
+    match Wal.min_hold t.wal with
+    | Some h -> h <= Wal.oldest_retained t.wal
+    | None -> false
+  in
+  if pinned || Wal.current_lsn t.wal = t.last_reclaim_lsn then false
   else begin
     let before = Wal.retained_bytes t.wal in
     Bgwriter.checkpoint_now t.bgwriter;
@@ -288,7 +293,14 @@ let commit t txn =
           abort t txn;
           raise (Serialization_failure { xid = txn.Txn.xid; reason }))
   | None -> ());
-  (if t.wal_logging && t.degraded = None then begin
+  (* Under a bounded WAL a transaction that logged nothing commits without
+     a record, so a full log cannot refuse a reader: after a crash it
+     reads as aborted, which is harmless because it wrote nothing.
+     Unbounded logs record every commit. *)
+  let logs_commit =
+    Wal.capacity_bytes t.wal = None || Hashtbl.mem t.wrote txn.Txn.xid
+  in
+  (if t.wal_logging && t.degraded = None && logs_commit then begin
      Crashpoint.reach "db.commit.wal.pre";
      let lsn =
        try
@@ -315,7 +327,7 @@ let commit t txn =
   (match t.ssi with Some s -> Ssimgr.on_commit s txn | None -> ());
   if observed t then emit t (Bus.Txn_commit { xid = txn.Txn.xid })
 
-let charge_cpu t n = Simclock.advance t.clock (float_of_int n *. t.cpu_op_s)
+let charge_cpu t n = Simclock.advance t.clock (float_of_int n *. cpu_op_s)
 
 let add_ticker t f = t.tickers <- t.tickers @ [ f ]
 let set_wal_logging t b = t.wal_logging <- b

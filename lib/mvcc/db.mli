@@ -17,7 +17,6 @@ type t = {
   txnmgr : Sias_txn.Txn.mgr;
   lockmgr : Sias_txn.Lockmgr.t;
   bgwriter : Sias_storage.Bgwriter.t;
-  cpu_op_s : float;  (** simulated CPU seconds charged per logical row op *)
   append_seal_interval : float option;
       (** the paper's t1 threshold: append tails are persisted (sealed)
           this often; [None] = t2, checkpoint-only *)
@@ -54,7 +53,8 @@ type t = {
   wrote : (int, unit) Hashtbl.t;
       (** xids that logged at least one record — maintained only when the
           WAL has finite capacity, to tell writers from read-only
-          transactions at commit once degraded *)
+          transactions at commit: a reader commits without a WAL record,
+          and a writer is refused once degraded *)
   mutable degraded : string option;
       (** loud read-only degraded mode: [Some reason] once a record did
           not fit in the capacity-bounded log; writers raise
@@ -108,7 +108,6 @@ val create :
   ?buffer_pages:int ->
   ?flush_policy:Sias_storage.Bgwriter.policy ->
   ?checkpoint_interval:float ->
-  ?cpu_op_s:float ->
   ?append_seal_interval:float ->
   ?os_cache_interval:float ->
   ?os_cache_pages:int ->
@@ -123,10 +122,10 @@ val create :
   unit ->
   t
 (** Defaults: a fresh X25-E-class SSD data device, an in-memory WAL sink,
-    2048 buffer pages, checkpoint-only flushing every 30 simulated
-    seconds, and 5 µs CPU per row operation. [faults] injects the same
-    fault plan into the buffer pool (reads/writes of data pages) and the
-    WAL (torn async flushes). [contention] selects the conflict policy
+    2048 buffer pages and checkpoint-only flushing every 30 simulated
+    seconds. Every row operation charges 5 µs of simulated CPU. [faults]
+    injects the same fault plan into the buffer pool (reads/writes of
+    data pages) and the WAL (torn async flushes). [contention] selects the conflict policy
     and admission limits (default: no-wait, unlimited). [commit_mode]
     selects the commit pipeline (default: synchronous per-commit fsync,
     the historical behavior). [isolation] selects the isolation level
@@ -168,7 +167,9 @@ val commit : t -> Sias_txn.Txn.t -> unit
     {!Sias_txn.Contention.Wounded} is raised. Under [`Ssi]/[`Wsi] the
     level's commit rule runs first; on failure the transaction is
     aborted and {!Serialization_failure} is raised — callers must not
-    abort it again. *)
+    abort it again. Under a capacity-bounded WAL a transaction that
+    logged nothing commits without a commit record, so a full log cannot
+    refuse it; after a crash it reads as aborted, which loses nothing. *)
 
 val abort : t -> Sias_txn.Txn.t -> unit
 

@@ -41,7 +41,6 @@ type t = {
   standby : Db.t;
   link : Link.t;
   mode : mode;
-  ship_batch : int;
   rto : float;
   max_sync_retries : int;
   hold : Wal.hold;
@@ -180,6 +179,9 @@ let record_slice t ~from ~upto =
     let records, _tail = Wal.verified_from (primary_wal t) ~lsn:from in
     List.filter (fun (r : Wal.record) -> r.lsn <= upto) records
 
+(* Records per ship message. *)
+let ship_batch = 64
+
 let rec batches n = function
   | [] -> []
   | l ->
@@ -208,7 +210,7 @@ let ship_batches t ~now records =
           t.seq <- t.seq + 1;
           t.inflight <- (at, t.seq, Ship batch) :: t.inflight
       | `Dropped -> ())
-    (batches t.ship_batch records)
+    (batches ship_batch records)
 
 let tick t =
   if not t.promoted then begin
@@ -305,7 +307,7 @@ let sync_ship t ~lsn ~at =
 
 (* ---- lifecycle ---- *)
 
-let attach ~primary ~standby ~link ~mode ?(ship_batch = 64)
+let attach ~primary ~standby ~link ~mode
     ?(retransmit_timeout = 0.05) ?(max_sync_retries = 5) ?(check = false) () =
   let hold = Wal.register_hold primary.Db.wal ~name:"standby" in
   let checker = if check then Some (Sichecker.attach (Db.bus standby)) else None in
@@ -315,7 +317,6 @@ let attach ~primary ~standby ~link ~mode ?(ship_batch = 64)
       standby;
       link;
       mode;
-      ship_batch;
       rto = retransmit_timeout;
       max_sync_retries;
       hold;

@@ -65,7 +65,6 @@ val attach :
   standby:Mvcc.Db.t ->
   link:Link.t ->
   mode:mode ->
-  ?ship_batch:int ->
   ?retransmit_timeout:float ->
   ?max_sync_retries:int ->
   ?check:bool ->
@@ -82,7 +81,7 @@ val attach :
     workload; create its engine instance and pass its recovery entry
     point via {!set_refresh}.
 
-    [ship_batch] (default 64) caps records per ship message.
+    A ship message carries at most 64 records.
     [retransmit_timeout] (default 0.05 s) is both the go-back-N silence
     threshold and the per-retry penalty of a remote-flush round trip;
     [max_sync_retries] (default 5) bounds those retries before a commit

@@ -5,7 +5,6 @@ module Crashpoint = Sias_chaos.Crashpoint
 type policy =
   | T1_bgwriter of { interval : float; max_pages : int }
   | T2_checkpoint_only
-  | Disabled
 
 type t = {
   pool : Bufpool.t;
@@ -25,10 +24,9 @@ let create pool ~clock ~policy ?(checkpoint_interval = 30.0)
     ?(before_checkpoint = fun () -> ()) ?(on_checkpoint = fun () -> ()) ?bus () =
   let now = Simclock.now clock in
   let next_bgwriter =
-    match policy with T1_bgwriter { interval; _ } -> now +. interval | _ -> infinity
-  in
-  let next_checkpoint =
-    match policy with Disabled -> infinity | _ -> now +. checkpoint_interval
+    match policy with
+    | T1_bgwriter { interval; _ } -> now +. interval
+    | T2_checkpoint_only -> infinity
   in
   {
     pool;
@@ -39,7 +37,7 @@ let create pool ~clock ~policy ?(checkpoint_interval = 30.0)
     on_checkpoint;
     bus;
     next_bgwriter;
-    next_checkpoint;
+    next_checkpoint = now +. checkpoint_interval;
     checkpoints = 0;
     bgwriter_rounds = 0;
   }
@@ -100,7 +98,7 @@ let tick t =
         t.bgwriter_rounds <- t.bgwriter_rounds + 1;
         t.next_bgwriter <- t.next_bgwriter +. interval
       done
-  | T2_checkpoint_only | Disabled -> ());
+  | T2_checkpoint_only -> ());
   while t.next_checkpoint <= now do
     run_checkpoint t;
     t.next_checkpoint <- t.next_checkpoint +. t.checkpoint_interval

@@ -18,7 +18,6 @@ type policy =
   | T1_bgwriter of { interval : float; max_pages : int }
       (** flush up to [max_pages] LRU dirty pages every [interval] sim-seconds *)
   | T2_checkpoint_only
-  | Disabled
 
 type t
 
@@ -33,7 +32,7 @@ val create :
   unit ->
   t
 (** A checkpoint flushing all dirty pages runs every [checkpoint_interval]
-    simulated seconds (default 30.) under every policy except [Disabled].
+    simulated seconds (default 30.) under either policy.
     [before_checkpoint] runs first (e.g. the commit pipeline flushing
     buffered WAL ahead of the heap writes); [on_checkpoint] runs after
     each checkpoint flush (e.g. to reset the full-page-write tracking so

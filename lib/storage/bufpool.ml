@@ -80,7 +80,6 @@ type t = {
   device : Device.t;
   clock : Simclock.t;
   page_size : int;
-  rel_region_blocks : int;
   os_cache_interval : float option;
   os_cache_pages : int;
   os_pending : (key, unit) Hashtbl.t;
@@ -100,7 +99,6 @@ type t = {
   disk : (key, Page.t) Hashtbl.t; (* flushed page images *)
   bus : Bus.t option;
   faults : Faultdev.t option;
-  max_read_retries : int;
   torn_pending : (key, Page.t) Hashtbl.t;
       (* per page, the image that survives if a crash strikes now: the
          last write was torn, so a prefix of the new image spliced onto
@@ -120,8 +118,14 @@ type t = {
   mutable torn_pages : int;
 }
 
-let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?(rel_region_blocks = 65536)
-    ?os_cache_interval ?os_cache_pages ?bus ?faults ?(max_read_retries = 4) ?(shards = 1) () =
+(* Blocks in each relation's device region. *)
+let rel_region_blocks = 65536
+
+(* Transient read errors are retried this many times. *)
+let max_read_retries = 4
+
+let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?os_cache_interval
+    ?os_cache_pages ?bus ?faults ?(shards = 1) () =
   if capacity_pages <= 0 then invalid_arg "Bufpool.create: capacity must be positive";
   if shards < 1 then invalid_arg "Bufpool.create: shards must be >= 1";
   if shards > capacity_pages then
@@ -163,7 +167,6 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?(rel_region_block
     device;
     clock;
     page_size;
-    rel_region_blocks;
     os_cache_interval;
     os_cache_pages = (match os_cache_pages with Some n -> n | None -> capacity_pages);
     os_pending = Hashtbl.create 1024;
@@ -186,7 +189,6 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?(rel_region_block
     torn_pages = 0;
     bus;
     faults;
-    max_read_retries;
     torn_pending = Hashtbl.create 64;
     trusted = Hashtbl.create 1024;
     repair = None;
@@ -241,7 +243,7 @@ let obs t =
 let sectors_per_page t = t.page_size / 512
 
 let sector_of t ~rel ~block =
-  ((rel * t.rel_region_blocks) + block) * sectors_per_page t
+  ((rel * rel_region_blocks) + block) * sectors_per_page t
 
 let submit_io t ~sync op key =
   let now = Simclock.now t.clock in
@@ -292,12 +294,12 @@ let read_image t key dst =
         | None -> false
         | Some fd ->
             let failures = Faultdev.transient_failures fd ~sector in
-            let retries = Stdlib.min failures t.max_read_retries in
+            let retries = Stdlib.min failures max_read_retries in
             for i = 0 to retries - 1 do
               backoff i
             done;
             ignore (Faultdev.corrupt_read fd ~sector (Page.buffer dst));
-            failures > t.max_read_retries
+            failures > max_read_retries
       in
       (* A failing checksum is re-read a few times before escalating:
          corruption picked up in flight (bus, DRAM) disappears on a fresh
@@ -306,7 +308,7 @@ let read_image t key dst =
       let rec read_verified tries =
         let unreadable = attempt () in
         if (not unreadable) && Page.checksum_ok dst then true
-        else if tries < t.max_read_retries then begin
+        else if tries < max_read_retries then begin
           if not unreadable then begin
             t.checksum_failures <- t.checksum_failures + 1;
             match obs t with

@@ -46,20 +46,18 @@ val create :
   clock:Sias_util.Simclock.t ->
   capacity_pages:int ->
   ?page_size:int ->
-  ?rel_region_blocks:int ->
   ?os_cache_interval:float ->
   ?os_cache_pages:int ->
   ?bus:Sias_obs.Bus.t ->
   ?faults:Flashsim.Faultdev.t ->
-  ?max_read_retries:int ->
   ?shards:int ->
   unit ->
   t
 (** [capacity_pages] frames of [page_size] (default 8192) bytes.
-    [rel_region_blocks] (default 65536) sizes each relation's device
-    region. [faults] injects device faults on this pool's reads and
-    writes; transient read errors are retried up to [max_read_retries]
-    (default 4) times with exponential backoff charged to the clock.
+    Each relation owns a device region of 65536 blocks. [faults] injects
+    device faults on this pool's reads and writes; transient read errors
+    are retried up to 4 times with exponential backoff charged to the
+    clock.
     [shards] (default 1) partitions the frames for multi-domain access;
     must not exceed [capacity_pages]. *)
 

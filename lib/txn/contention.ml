@@ -220,14 +220,15 @@ let acquire t ~xid ~rel ~key =
 type retry_config = {
   max_attempts : int;
   base_backoff_s : float;
-  max_backoff_s : float;
   deadline_s : float option;
 }
 
-let retry_config ?(max_attempts = 6) ?(base_backoff_s = 0.002) ?(max_backoff_s = 0.25)
-    ?deadline_s () =
+(* Backoff doubles from [base_backoff_s] up to this cap. *)
+let max_backoff_s = 0.25
+
+let retry_config ?(max_attempts = 6) ?(base_backoff_s = 0.002) ?deadline_s () =
   if max_attempts < 1 then invalid_arg "Contention.retry_config: max_attempts < 1";
-  { max_attempts; base_backoff_s; max_backoff_s; deadline_s }
+  { max_attempts; base_backoff_s; deadline_s }
 
 type give_up_reason = Attempts_exhausted | Deadline_exceeded
 
@@ -252,7 +253,7 @@ let run_with_retries t ~cfg ~retryable ~f =
     end
     else begin
       let backoff =
-        Float.min cfg.max_backoff_s
+        Float.min max_backoff_s
           (cfg.base_backoff_s *. (2.0 ** float_of_int (attempt - 1)))
       in
       let backoff = backoff *. (0.5 +. Rng.float t.rng 0.5) in

@@ -92,8 +92,7 @@ val finished : t -> xid:int -> unit
 
 type retry_config = {
   max_attempts : int;  (** total attempts, >= 1; 1 = no retry *)
-  base_backoff_s : float;
-  max_backoff_s : float;
+  base_backoff_s : float;  (** first backoff; it doubles up to 250 ms *)
   deadline_s : float option;
       (** per-transaction deadline, simulated seconds from first attempt *)
 }
@@ -101,7 +100,6 @@ type retry_config = {
 val retry_config :
   ?max_attempts:int ->
   ?base_backoff_s:float ->
-  ?max_backoff_s:float ->
   ?deadline_s:float ->
   unit ->
   retry_config

@@ -186,22 +186,29 @@ let test_oos_reclamation engine () =
     (o.Chaosrun.committed > o.Chaosrun.attempted / 2);
   check "restart serves the committed model" true o.Chaosrun.consistent
 
-(* ---- out of space: futile reclamation degrades loudly ---- *)
+(* ---- out of space: a hold pinning the whole log refuses writers ---- *)
 
-let test_oos_degraded engine () =
-  let o =
-    Chaosrun.oos_run ~hold:true ~engine ~wal_capacity_bytes:12_000 ~ops:400 ()
-  in
-  (* a hold pins the whole log: reclamation cannot free anything, so the
-     database must refuse writers loudly — through the admission gate
-     (backpressure shed) or the typed Read_only error — and stay sound *)
-  check "writers were refused" true
-    (o.Chaosrun.read_only_errors > 0 || o.Chaosrun.shed > 0);
-  check "refusal was loud: degraded mode or backpressure" true
-    (o.Chaosrun.degraded <> None || o.Chaosrun.backpressure_on > 0);
-  check "some transactions committed before exhaustion" true
-    (o.Chaosrun.committed > 0);
-  check "restart serves the committed model" true o.Chaosrun.consistent
+let test_oos_pinned engine () =
+  List.iter
+    (fun cap ->
+      let o =
+        Chaosrun.oos_run ~hold:true ~engine ~wal_capacity_bytes:cap ~ops:400 ()
+      in
+      let at what = Printf.sprintf "%s (%d-byte WAL)" what cap in
+      (* a hold pins the whole log: reclamation cannot free anything, so
+         it must not checkpoint at all, and the database must refuse
+         writers loudly — through the admission gate (backpressure shed)
+         or the typed Read_only error — and stay sound. The restart's
+         read-only verification must commit even when the log is full. *)
+      checki (at "no futile checkpoint") 0 o.Chaosrun.reclaims;
+      check (at "writers were refused") true
+        (o.Chaosrun.read_only_errors > 0 || o.Chaosrun.shed > 0);
+      check (at "refusal was loud: degraded mode or backpressure") true
+        (o.Chaosrun.degraded <> None || o.Chaosrun.backpressure_on > 0);
+      check (at "some transactions committed before exhaustion") true
+        (o.Chaosrun.committed > 0);
+      check (at "restart serves the committed model") true o.Chaosrun.consistent)
+    [ 12_000; 24_000; 40_000 ]
 
 (* ---- out of space: capacity below a single full-page image ---- *)
 
@@ -293,9 +300,9 @@ let suite =
       List.map
         (fun e ->
           Alcotest.test_case
-            (Printf.sprintf "oos: %s futile reclamation degrades loudly" e)
-            `Quick (test_oos_degraded e))
-        [ "si"; "sias-v" ];
+            (Printf.sprintf "oos: %s pinned log refuses writers loudly" e)
+            `Quick (test_oos_pinned e))
+        [ "si"; "si-cv"; "sias"; "sias-v" ];
       [
         Alcotest.test_case "oos: capacity below one page image is refused"
           `Quick test_oos_hard_degraded;

@@ -53,10 +53,11 @@ determinism:
 	@echo "determinism OK: default-seed outputs match test/golden"
 
 # Multicore smoke: the sharded TPC-C bench across 1/2/4 domains with the
-# SI checker attached (non-zero exit on any violation), writing the
-# scalability curve to _obs/BENCH_multicore.json, plus a 2-domain CLI
-# run. Aggregate NOTPM must scale with domains (weak scaling); wall
-# NOTPM additionally shows real-core speedup on multicore hosts.
+# SI checker attached, writing the scalability curve to
+# _obs/BENCH_multicore.json, plus a 2-domain CLI run. The target fails
+# only when a shard's checker reports an SI violation (or a run crashes);
+# the aggregate-NOTPM curve (weak scaling) and wall NOTPM (real-core
+# speedup) are reported, not gated.
 multicore:
 	mkdir -p _obs
 	dune exec bench/main.exe -- multicore --bench-out _obs/BENCH_multicore.json

@@ -999,7 +999,6 @@ let multicore_bench c =
                 cfg with
                 MC.base =
                   { cfg.MC.base with W.duration_s = (if c.full then 300.0 else 60.0) };
-                bufpool_shards = (if domains > 1 then 4 else 1);
               }
             in
             let r = MC.run cfg in
@@ -1010,11 +1009,9 @@ let multicore_bench c =
             violations := !violations + r.MC.violations;
             note
               "  %-7s domains=%d  agg %7.0f NOTPM (%.2fx vs 1 domain)  wall %6.2fs \
-               %7.0f NOTPM-wall  fsyncs %d/%d commits (saved %d)  violations %d"
+               %7.0f NOTPM-wall  violations %d"
               engine domains r.MC.agg_notpm speedup r.MC.wall_s r.MC.wall_notpm
-              r.MC.slots.Sias_wal.Walslots.commit_fsyncs
-              r.MC.slots.Sias_wal.Walslots.commits
-              r.MC.slots.Sias_wal.Walslots.fsyncs_saved r.MC.violations;
+              r.MC.violations;
             ( Printf.sprintf "%s/d%d" engine domains,
               [
                 ("domains", float_of_int domains);
@@ -1025,8 +1022,6 @@ let multicore_bench c =
                 ("wall_notpm", r.MC.wall_notpm);
                 ("total_committed", float_of_int r.MC.total_committed);
                 ("new_orders", float_of_int r.MC.total_new_orders);
-                ("commit_fsyncs", float_of_int r.MC.slots.Sias_wal.Walslots.commit_fsyncs);
-                ("fsyncs_saved", float_of_int r.MC.slots.Sias_wal.Walslots.fsyncs_saved);
                 ("violations", float_of_int r.MC.violations);
               ] ))
           domain_counts)

@@ -62,11 +62,11 @@ let domains_arg =
            deterministic path.")
 
 (* --domains N (N > 1): shared-nothing multicore run. Each domain owns
-   its warehouse range outright; commits stream through per-domain WAL
-   insert slots into one group-commit flusher. Only the flags that are
-   meaningful per shard are honored; device/fault/replication topology
-   flags are single-domain concerns and rejected loudly rather than
-   silently ignored. *)
+   its warehouse range and its own Db outright. A shard's Db is built
+   from the workload, engine, isolation and buffer size alone, so every
+   other run flag (device/fault/replication topology, flushing, commit
+   pipeline, contention settings, per-run observability artifacts) is
+   rejected loudly rather than silently ignored. *)
 let run_multicore ~domains s =
   let module MC = Tpcc.Tpcc_multicore in
   let unsupported =
@@ -78,6 +78,14 @@ let run_multicore ~domains s =
         ("--repl", s.repl_mode <> None);
         ("--faults", s.fault_seed <> None);
         ("--device", s.device <> Ssd_single);
+        ("--flush", s.flush <> T2);
+        ("--synchronous-commit", not s.synchronous_commit);
+        ("--commit-delay", s.commit_delay_s > 0.0);
+        ("--conflict-policy", s.contention.C.policy <> C.No_wait);
+        ("--max-inflight", s.contention.C.max_inflight <> None);
+        ("--metrics-out", s.metrics_out <> None);
+        ("--trace-out", s.trace_out <> None);
+        ("--stats-interval", s.stats_interval_s <> None);
       ]
   in
   if unsupported <> [] then begin
@@ -92,7 +100,6 @@ let run_multicore ~domains s =
         base = workload_config s;
         isolation = Mvcc.Isolation.of_string_exn s.isolation;
         buffer_pages = s.buffer_pages;
-        bufpool_shards = Stdlib.min 4 s.buffer_pages;
         check = s.check_si;
       }
   in

@@ -69,8 +69,7 @@ let create ?bus ?device ?wal_device ?(buffer_pages = 2048)
     ?(flush_policy = Bgwriter.T2_checkpoint_only) ?(checkpoint_interval = 30.0)
     ?append_seal_interval ?os_cache_interval ?os_cache_pages ?(vidmap_paged = false) ?faults
     ?(contention = Contention.default_settings) ?(commit_mode = Commitpipe.Sync)
-    ?wal_capacity_bytes ?(isolation = `Si) ?(bufpool_shards = 1)
-    ?(index = `Array) () =
+    ?wal_capacity_bytes ?(isolation = `Si) ?(index = `Array) () =
   let clock = Simclock.create () in
   let bus = match bus with Some b -> b | None -> Bus.create () in
   let device =
@@ -78,7 +77,7 @@ let create ?bus ?device ?wal_device ?(buffer_pages = 2048)
   in
   Device.attach_bus device bus;
   Option.iter (fun d -> Device.attach_bus d bus) wal_device;
-  let pool = Bufpool.create ~device ~clock ~capacity_pages:buffer_pages ?os_cache_interval ?os_cache_pages ~bus ?faults ~shards:bufpool_shards () in
+  let pool = Bufpool.create ~device ~clock ~capacity_pages:buffer_pages ?os_cache_interval ?os_cache_pages ~bus ?faults () in
   let wal =
     Wal.create ?device:wal_device ?faults ~bus ?capacity_bytes:wal_capacity_bytes
       ~clock ()

@@ -117,7 +117,6 @@ val create :
   ?commit_mode:Sias_wal.Commitpipe.mode ->
   ?wal_capacity_bytes:int ->
   ?isolation:Isolation.level ->
-  ?bufpool_shards:int ->
   ?index:[ `Array | `Paged ] ->
   unit ->
   t
@@ -131,10 +130,7 @@ val create :
     the historical behavior). [isolation] selects the isolation level
     (default [`Si], the historical snapshot-isolation behavior —
     byte-identical output; [`Ssi]/[`Wsi] add serializability tracking,
-    see {!Ssimgr}). [bufpool_shards] (default 1) partitions the buffer
-    pool's frame table for multi-domain access; the default single
-    shard takes no locks and is byte-identical to the unsharded pool.
-    [index] selects the index implementation engines build (default
+    see {!Ssimgr}). [index] selects the index implementation engines build (default
     [`Array], byte-identical to the historical behavior; [`Paged]
     switches to the WAL-logged paged B+Tree — see the [index_kind]
     field). *)

@@ -55,35 +55,20 @@ let io_op_to_string = function Io_read -> "read" | Io_write -> "write"
    checker), so publishing from another domain would be a data race the
    type system cannot see. [owner] pins the creating domain and
    [publish]/[subscribe] assert it — a shard's bus must live and die on
-   the shard's domain. Subscribers that really are thread-safe (their
-   own locking, e.g. a cross-domain relay into a Walslots slot) can lift
-   the check with [set_shared]. *)
-type t = {
-  mutable subs : (event -> unit) array;
-  mutable owner : int;
-  mutable shared : bool;
-}
+   the shard's domain. *)
+type t = { mutable subs : (event -> unit) array; owner : int }
 
-let create () =
-  {
-    subs = [||];
-    owner = (Domain.self () :> int);
-    shared = false;
-  }
-
-let set_shared t = t.shared <- true
+let create () = { subs = [||]; owner = (Domain.self () :> int) }
 
 let check_owner t op =
-  if not t.shared then begin
-    let self = (Domain.self () :> int) in
-    if self <> t.owner then
-      failwith
-        (Printf.sprintf
-           "Bus.%s from domain %d but the bus is owned by domain %d: \
-            subscribers are not synchronized — keep each bus on its own \
-            domain, or mark thread-safe subscribers with Bus.set_shared"
-           op self t.owner)
-  end
+  let self = (Domain.self () :> int) in
+  if self <> t.owner then
+    failwith
+      (Printf.sprintf
+         "Bus.%s from domain %d but the bus is owned by domain %d: \
+          subscribers are not synchronized — keep each bus on its own \
+          domain"
+         op self t.owner)
 
 let subscribe t f =
   check_owner t "subscribe";
@@ -98,5 +83,3 @@ let publish t e =
   done
 
 let subscriber_count t = Array.length t.subs
-
-let adopt t = t.owner <- (Domain.self () :> int)

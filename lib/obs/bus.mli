@@ -116,16 +116,8 @@ val create : unit -> t
 (** A bus with no subscribers: {!active} is [false] and {!publish} is a
     no-op. The bus is owned by the creating domain: {!publish} and
     {!subscribe} from any other domain fail loudly, because subscribers
-    are unsynchronized closures. See {!set_shared}. *)
-
-val set_shared : t -> unit
-(** Lift the owner-domain assertion: every subscriber on this bus is
-    declared thread-safe (does its own locking). Use sparingly — the
-    sharded design wants one bus per domain. *)
-
-val adopt : t -> unit
-(** Transfer ownership to the calling domain (e.g. a bus created on the
-    coordinator and handed to a worker before any events flow). *)
+    are unsynchronized closures. Multicore runs create one bus per
+    domain, inside that domain's worker. *)
 
 val subscribe : t -> (event -> unit) -> unit
 (** Add a consumer; it sees every subsequently published event, in

@@ -34,29 +34,6 @@ type frame = {
   mutable pin : int;
   mutable refbit : bool;
   mutable used : bool;
-  mutable last_use : int;
-}
-
-(* A shard owns a contiguous slice of the frame array, its own mapping
-   table, its own clock hands and its own hit/miss counters, guarded by
-   its own lock. Pages hash to shards by key, so two domains touching
-   different pages contend only when they collide on a shard — the
-   per-CPU hash-partitioning of DragonflyBSD's niscache / PostgreSQL's
-   buffer mapping partitions. With [shards = 1] (the default) the lock
-   is never taken and the sweep order over the whole frame array is
-   exactly the pre-sharding behavior, which the determinism goldens pin
-   down. *)
-type shard = {
-  lo : int; (* first frame index owned by this shard *)
-  n : int; (* frames owned *)
-  lock : Mutex.t;
-  index : (key, int) Hashtbl.t;
-  mutable hand : int; (* clock-sweep offset in [0, n) *)
-  mutable bg_hand : int; (* background-writer scan offset *)
-  mutable tick : int; (* logical use counter for LRU-ish bgwriter order *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
 }
 
 type stats = {
@@ -90,12 +67,12 @@ type t = {
       (* a buffer dropped from the ring that no callback holds: the next
          ring miss loads into it instead of allocating *)
   frames : frame array;
-  shards : shard array;
-  locking : bool; (* shards > 1: take the locks *)
-  io_lock : Mutex.t;
-      (* guards everything below the mapping layer: the simulated disk,
-         device, sim clock, OS-cache model, fault bookkeeping and the
-         I/O statistics. Acquired strictly after a shard lock. *)
+  index : (key, int) Hashtbl.t; (* resident key -> frame index *)
+  mutable hand : int; (* clock-sweep position *)
+  mutable bg_hand : int; (* background-writer scan position *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
   disk : (key, Page.t) Hashtbl.t; (* flushed page images *)
   bus : Bus.t option;
   faults : Faultdev.t option;
@@ -125,11 +102,8 @@ let rel_region_blocks = 65536
 let max_read_retries = 4
 
 let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?os_cache_interval
-    ?os_cache_pages ?bus ?faults ?(shards = 1) () =
+    ?os_cache_pages ?bus ?faults () =
   if capacity_pages <= 0 then invalid_arg "Bufpool.create: capacity must be positive";
-  if shards < 1 then invalid_arg "Bufpool.create: shards must be >= 1";
-  if shards > capacity_pages then
-    invalid_arg "Bufpool.create: more shards than frames";
   let dummy_key = { rel = -1; block = -1 } in
   let frames =
     Array.init capacity_pages (fun idx ->
@@ -141,26 +115,6 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?os_cache_interval
           pin = 0;
           refbit = false;
           used = false;
-          last_use = 0;
-        })
-  in
-  let shard_arr =
-    Array.init shards (fun i ->
-        (* contiguous slices, remainder spread over the first shards *)
-        let base = capacity_pages / shards and extra = capacity_pages mod shards in
-        let n = base + if i < extra then 1 else 0 in
-        let lo = (i * base) + Stdlib.min i extra in
-        {
-          lo;
-          n;
-          lock = Mutex.create ();
-          index = Hashtbl.create (2 * Stdlib.max 1 n);
-          hand = 0;
-          bg_hand = 0;
-          tick = 0;
-          hits = 0;
-          misses = 0;
-          evictions = 0;
         })
   in
   {
@@ -175,9 +129,12 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?os_cache_interval
     ring_fifo = Queue.create ();
     ring_spare = None;
     frames;
-    shards = shard_arr;
-    locking = shards > 1;
-    io_lock = Mutex.create ();
+    index = Hashtbl.create (2 * capacity_pages);
+    hand = 0;
+    bg_hand = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
     disk = Hashtbl.create 1024;
     flushes = 0;
     read_stall = 0.0;
@@ -197,43 +154,6 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?os_cache_interval
 let page_size t = t.page_size
 let device t = t.device
 let now t = Simclock.now t.clock
-let shard_count t = Array.length t.shards
-
-let shard_of t key =
-  if Array.length t.shards = 1 then t.shards.(0)
-  else t.shards.(Hashtbl.hash key mod Array.length t.shards)
-
-(* Lock helpers compile to straight calls of [f] in the single-shard
-   configuration: the deterministic path pays nothing. Lock order is
-   always shard(s) first, [io_lock] second. *)
-let lock_shard t s = if t.locking then Mutex.lock s.lock
-let unlock_shard t s = if t.locking then Mutex.unlock s.lock
-
-let with_io t f =
-  if not t.locking then f ()
-  else begin
-    Mutex.lock t.io_lock;
-    match f () with
-    | v ->
-        Mutex.unlock t.io_lock;
-        v
-    | exception e ->
-        Mutex.unlock t.io_lock;
-        raise e
-  end
-
-let with_all_shards t f =
-  if not t.locking then f ()
-  else begin
-    Array.iter (fun s -> Mutex.lock s.lock) t.shards;
-    match f () with
-    | v ->
-        Array.iter (fun s -> Mutex.unlock s.lock) t.shards;
-        v
-    | exception e ->
-        Array.iter (fun s -> Mutex.unlock s.lock) t.shards;
-        raise e
-  end
 
 (* The bus with subscribers, if observability is on; publishing sites
    build their events only behind this check. *)
@@ -266,8 +186,7 @@ let set_repair t fn = t.repair <- Some fn
    charged to the simulated clock; the image is then checksum-verified,
    and a failing page is handed to the installed repair handler (WAL
    full-page redo) — a page is served correct, repaired, or the read
-   fails loudly with [Corrupt_page]. Never silent garbage.
-   Caller holds [io_lock] when sharded. *)
+   fails loudly with [Corrupt_page]. Never silent garbage. *)
 let read_backoff_base_s = 0.0005
 
 let read_image t key dst =
@@ -390,7 +309,6 @@ let os_cache_tick t =
         t.os_next_flush <- Simclock.now t.clock +. interval
       end
 
-(* Caller holds the frame's shard lock and [io_lock] when sharded. *)
 let write_back t frame ~sync =
   Crashpoint.reach "bufpool.writeback.pre";
   let durable =
@@ -460,16 +378,16 @@ let write_back t frame ~sync =
         (Bus.Page_flush { rel = frame.key.rel; block = frame.key.block; sync })
   | None -> ()
 
-(* Clock sweep within one shard's slice: find an unpinned victim, giving
-   recently referenced frames a second chance. Dirty victims are written
-   back synchronously. Caller holds the shard lock. *)
-let find_victim t s =
+(* Clock sweep: find an unpinned victim, giving recently referenced
+   frames a second chance. Dirty victims are written back synchronously. *)
+let find_victim t =
+  let n = Array.length t.frames in
   let attempts = ref 0 in
   let victim = ref None in
   while !victim = None do
-    if !attempts > 2 * s.n then raise (No_free_frames { capacity = s.n });
-    let f = t.frames.(s.lo + s.hand) in
-    s.hand <- (s.hand + 1) mod s.n;
+    if !attempts > 2 * n then raise (No_free_frames { capacity = n });
+    let f = t.frames.(t.hand) in
+    t.hand <- (t.hand + 1) mod n;
     incr attempts;
     if f.pin = 0 then begin
       if f.refbit then f.refbit <- false else victim := Some f
@@ -477,8 +395,8 @@ let find_victim t s =
   done;
   match !victim with Some f -> f | None -> assert false
 
-let load_frame t s key =
-  let f = find_victim t s in
+let load_frame t key =
+  let f = find_victim t in
   if f.used then begin
     Crashpoint.reach "bufpool.evict.pre";
     (match obs t with
@@ -487,75 +405,53 @@ let load_frame t s key =
           (Bus.Page_evict
              { rel = f.key.rel; block = f.key.block; dirty = f.dirty })
     | None -> ());
-    if f.dirty then with_io t (fun () -> write_back t f ~sync:true);
-    Hashtbl.remove s.index f.key;
-    s.evictions <- s.evictions + 1
+    if f.dirty then write_back t f ~sync:true;
+    Hashtbl.remove t.index f.key;
+    t.evictions <- t.evictions + 1
   end;
   (* the victim is unpinned and out of the mapping: reload its own buffer *)
-  with_io t (fun () -> read_image t key f.page);
+  read_image t key f.page;
   f.key <- key;
   f.dirty <- false;
   f.used <- true;
   f.refbit <- true;
   f
 
-(* Caller holds the shard lock. *)
-let get_frame t s key =
-  match Hashtbl.find_opt s.index key with
+let get_frame t key =
+  match Hashtbl.find_opt t.index key with
   | Some i ->
       let f = t.frames.(i) in
-      s.hits <- s.hits + 1;
+      t.hits <- t.hits + 1;
       (match obs t with
       | Some b -> Bus.publish b (Bus.Page_hit { rel = key.rel; block = key.block })
       | None -> ());
       f.refbit <- true;
       f
   | None ->
-      s.misses <- s.misses + 1;
+      t.misses <- t.misses + 1;
       (match obs t with
       | Some b -> Bus.publish b (Bus.Page_miss { rel = key.rel; block = key.block })
       | None -> ());
-      let f = load_frame t s key in
-      Hashtbl.replace s.index key f.idx;
+      let f = load_frame t key in
+      Hashtbl.replace t.index key f.idx;
       f
 
 let with_page t ~rel ~block fn =
-  (match t.os_cache_interval with
-  | Some _ -> with_io t (fun () -> os_cache_tick t)
-  | None -> ());
-  let key = { rel; block } in
-  let s = shard_of t key in
-  lock_shard t s;
-  (match get_frame t s key with
-  | f ->
-      (* the pin taken under the lock keeps the frame from eviction once
-         the lock is dropped; page-content synchronization between
-         domains is the caller's concern (shard your data) *)
-      f.pin <- f.pin + 1;
-      s.tick <- s.tick + 1;
-      f.last_use <- s.tick;
-      unlock_shard t s;
-      Fun.protect
-        ~finally:(fun () ->
-          lock_shard t s;
-          f.pin <- f.pin - 1;
-          unlock_shard t s)
-        (fun () -> fn f.page)
-  | exception e ->
-      unlock_shard t s;
-      raise e)
+  os_cache_tick t;
+  let f = get_frame t { rel; block } in
+  (* the pin keeps the frame from eviction by nested accesses *)
+  f.pin <- f.pin + 1;
+  Fun.protect ~finally:(fun () -> f.pin <- f.pin - 1) (fun () -> fn f.page)
 
 (* Ring-buffer access for background scans (vacuum/GC): a resident page
    is used without promoting it (no reference bit, no recency bump); a
    miss is served straight from the disk image without occupying a frame,
    so wholesale scans cannot evict the working set (PostgreSQL's
-   BAS_VACUUM ring). Read-only: mutations through this path are lost.
-   The ring's state ([ring], [ring_fifo], [ring_spare], [users]) is
-   guarded by [io_lock]. *)
+   BAS_VACUUM ring). Read-only: mutations through this path are lost. *)
 let ring_capacity = 32
 
 (* Drop [key]'s ring entry; its buffer becomes the spare unless a
-   callback still reads it. Caller holds [io_lock]. *)
+   callback still reads it. *)
 let ring_drop t key =
   match Hashtbl.find_opt t.ring key with
   | Some e ->
@@ -564,8 +460,8 @@ let ring_drop t key =
   | None -> ()
 
 (* A ring miss: load [key] into the spare buffer (or a fresh one) and
-   enter it, evicting the oldest entry when the ring is full. Caller holds
-   [io_lock]; [key] is not in the ring. *)
+   enter it, evicting the oldest entry when the ring is full. [key] is
+   not in the ring. *)
 let ring_load t key =
   let page =
     match t.ring_spare with
@@ -582,61 +478,40 @@ let ring_load t key =
   e
 
 let with_page_ro t ~rel ~block fn =
-  (match t.os_cache_interval with
-  | Some _ -> with_io t (fun () -> os_cache_tick t)
-  | None -> ());
+  os_cache_tick t;
   let key = { rel; block } in
-  let s = shard_of t key in
-  lock_shard t s;
-  match Hashtbl.find_opt s.index key with
+  match Hashtbl.find_opt t.index key with
   | Some i ->
       let f = t.frames.(i) in
-      s.hits <- s.hits + 1;
+      t.hits <- t.hits + 1;
       (match obs t with
       | Some b -> Bus.publish b (Bus.Page_hit { rel; block })
       | None -> ());
       f.pin <- f.pin + 1;
-      unlock_shard t s;
-      Fun.protect
-        ~finally:(fun () ->
-          lock_shard t s;
-          f.pin <- f.pin - 1;
-          unlock_shard t s)
-        (fun () -> fn f.page)
-  | None -> (
+      Fun.protect ~finally:(fun () -> f.pin <- f.pin - 1) (fun () -> fn f.page)
+  | None ->
       let entry =
-        match
-          with_io t (fun () ->
-              match Hashtbl.find_opt t.ring key with
-              | Some e ->
-                  e.users <- e.users + 1;
-                  Some e
-              | None -> None)
-        with
+        match Hashtbl.find_opt t.ring key with
         | Some e ->
-            s.hits <- s.hits + 1;
+            e.users <- e.users + 1;
+            t.hits <- t.hits + 1;
             (match obs t with
             | Some b -> Bus.publish b (Bus.Page_hit { rel; block })
             | None -> ());
             e
         | None ->
-            s.misses <- s.misses + 1;
+            t.misses <- t.misses + 1;
             (match obs t with
             | Some b -> Bus.publish b (Bus.Page_miss { rel; block })
             | None -> ());
-            with_io t (fun () -> ring_load t key)
+            ring_load t key
       in
-      unlock_shard t s;
       Fun.protect
-        ~finally:(fun () -> with_io t (fun () -> entry.users <- entry.users - 1))
-        (fun () -> fn entry.page))
-  | exception e ->
-      unlock_shard t s;
-      raise e
+        ~finally:(fun () -> entry.users <- entry.users - 1)
+        (fun () -> fn entry.page)
 
-(* Caller holds the shard lock (or the pool is unsharded). *)
-let find_resident_in s t ~rel ~block =
-  match Hashtbl.find_opt s.index { rel; block } with
+let find_resident t ~rel ~block =
+  match Hashtbl.find_opt t.index { rel; block } with
   | Some i -> Some t.frames.(i)
   | None -> None
 
@@ -646,114 +521,64 @@ let find_resident_in s t ~rel ~block =
    the frame dirty — hints are advisory and piggyback on the page's next
    real write. Returns whether the patch landed. *)
 let patch_resident t ~rel ~block ~slot ~off ~bits =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  let r =
-    match Hashtbl.find_opt s.index { rel; block } with
-    | Some i ->
-        Crashpoint.reach "bufpool.hint.patch";
-        Page.or_byte t.frames.(i).page slot ~off ~bits;
-        true
-    | None -> false
-  in
-  unlock_shard t s;
-  r
+  match find_resident t ~rel ~block with
+  | Some f ->
+      Crashpoint.reach "bufpool.hint.patch";
+      Page.or_byte f.page slot ~off ~bits;
+      true
+  | None -> false
 
 let mark_dirty t ~rel ~block =
   (* any mutation invalidates the ring copy *)
-  with_io t (fun () -> ring_drop t { rel; block });
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  let found =
-    match find_resident_in s t ~rel ~block with
-    | Some f ->
-        f.dirty <- true;
-        true
-    | None -> false
-  in
-  unlock_shard t s;
-  if not found then invalid_arg "Bufpool.mark_dirty: page not resident"
+  ring_drop t { rel; block };
+  match find_resident t ~rel ~block with
+  | Some f -> f.dirty <- true
+  | None -> invalid_arg "Bufpool.mark_dirty: page not resident"
 
 let flush_block t ~rel ~block ~sync =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  (match find_resident_in s t ~rel ~block with
-  | Some f when f.dirty -> with_io t (fun () -> write_back t f ~sync)
-  | Some _ | None -> ());
-  unlock_shard t s
+  match find_resident t ~rel ~block with
+  | Some f when f.dirty -> write_back t f ~sync
+  | Some _ | None -> ()
 
 (* Checkpoints issue their writes in (relation, block) order, like
    PostgreSQL's sorted checkpoints: append regions and index files flush
    as near-sequential streams, which matters greatly on the HDD model. *)
 let flush_all t ~sync =
-  with_all_shards t (fun () ->
-      let dirty =
-        Array.to_list t.frames |> List.filter (fun f -> f.used && f.dirty)
-      in
-      let sorted =
-        List.sort
-          (fun a b -> compare (a.key.rel, a.key.block) (b.key.rel, b.key.block))
-          dirty
-      in
-      List.iter (fun f -> with_io t (fun () -> write_back t f ~sync)) sorted)
+  let dirty = Array.to_list t.frames |> List.filter (fun f -> f.used && f.dirty) in
+  let sorted =
+    List.sort
+      (fun a b -> compare (a.key.rel, a.key.block) (b.key.rel, b.key.block))
+      dirty
+  in
+  List.iter (fun f -> write_back t f ~sync) sorted
 
-(* The background writer sweeps each shard's slice round-robin
-   (PostgreSQL's bgwriter clock scan): every dirty page is eventually
-   trickled out regardless of recency, which is what persists partially
-   filled append pages under the paper's t1 threshold. The page budget is
-   split over shards; with one shard this is the historical scan. *)
+(* The background writer sweeps the frames round-robin (PostgreSQL's
+   bgwriter clock scan): every dirty page is eventually trickled out
+   regardless of recency, which is what persists partially filled append
+   pages under the paper's t1 threshold. *)
 let flush_some t ~max_pages =
-  let nshards = Array.length t.shards in
-  Array.iteri
-    (fun i s ->
-      let budget =
-        if nshards = 1 then max_pages
-        else
-          (max_pages / nshards)
-          + if i < max_pages mod nshards then 1 else 0
-      in
-      if budget > 0 && s.n > 0 then begin
-        lock_shard t s;
-        let written = ref 0 in
-        let scanned = ref 0 in
-        while !written < budget && !scanned < s.n do
-          let f = t.frames.(s.lo + s.bg_hand) in
-          s.bg_hand <- (s.bg_hand + 1) mod s.n;
-          incr scanned;
-          if f.used && f.dirty then begin
-            with_io t (fun () -> write_back t f ~sync:false);
-            incr written
-          end
-        done;
-        unlock_shard t s
-      end)
-    t.shards
+  let n = Array.length t.frames in
+  let written = ref 0 in
+  let scanned = ref 0 in
+  while !written < max_pages && !scanned < n do
+    let f = t.frames.(t.bg_hand) in
+    t.bg_hand <- (t.bg_hand + 1) mod n;
+    incr scanned;
+    if f.used && f.dirty then begin
+      write_back t f ~sync:false;
+      incr written
+    end
+  done
 
 let dirty_count t =
-  with_all_shards t (fun () ->
-      Array.fold_left
-        (fun acc f -> if f.used && f.dirty then acc + 1 else acc)
-        0 t.frames)
+  Array.fold_left (fun acc f -> if f.used && f.dirty then acc + 1 else acc) 0 t.frames
 
-let resident t ~rel ~block =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  let r = find_resident_in s t ~rel ~block <> None in
-  unlock_shard t s;
-  r
+let resident t ~rel ~block = find_resident t ~rel ~block <> None
 
 let is_dirty t ~rel ~block =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  let r =
-    match find_resident_in s t ~rel ~block with
-    | Some f -> f.dirty
-    | None -> false
-  in
-  unlock_shard t s;
-  r
+  match find_resident t ~rel ~block with Some f -> f.dirty | None -> false
 
-let drop_cache_locked t =
+let drop_cache t =
   Array.iter
     (fun f ->
       f.used <- false;
@@ -761,38 +586,27 @@ let drop_cache_locked t =
       f.pin <- 0;
       f.refbit <- false)
     t.frames;
-  Array.iter (fun s -> Hashtbl.reset s.index) t.shards;
+  Hashtbl.reset t.index;
   Hashtbl.reset t.ring;
   Queue.clear t.ring_fifo
-
-let drop_cache t = with_all_shards t (fun () -> drop_cache_locked t)
 
 (* Dirty crash: torn in-flight writes land (only their persisted prefix
    survives), then every frame is dropped. What remains is exactly what a
    failure-prone device would hold: flushed images, some of them torn. *)
 let crash t =
-  with_all_shards t (fun () ->
-      with_io t (fun () ->
-          Hashtbl.iter (fun key img -> Hashtbl.replace t.disk key img) t.torn_pending;
-          t.torn_pages <- t.torn_pages + Hashtbl.length t.torn_pending;
-          Hashtbl.reset t.torn_pending;
-          Hashtbl.reset t.os_pending;
-          (* after a crash, trust nothing: recovery re-verifies checksums *)
-          Hashtbl.reset t.trusted);
-      drop_cache_locked t)
+  Hashtbl.iter (fun key img -> Hashtbl.replace t.disk key img) t.torn_pending;
+  t.torn_pages <- t.torn_pages + Hashtbl.length t.torn_pending;
+  Hashtbl.reset t.torn_pending;
+  Hashtbl.reset t.os_pending;
+  (* after a crash, trust nothing: recovery re-verifies checksums *)
+  Hashtbl.reset t.trusted;
+  drop_cache t
 
 let stats t =
-  let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
-  Array.iter
-    (fun (s : shard) ->
-      hits := !hits + s.hits;
-      misses := !misses + s.misses;
-      evictions := !evictions + s.evictions)
-    t.shards;
   {
-    hits = !hits;
-    misses = !misses;
-    evictions = !evictions;
+    hits = t.hits;
+    misses = t.misses;
+    evictions = t.evictions;
     flushes = t.flushes;
     read_stall_s = t.read_stall;
     write_stall_s = t.write_stall;
@@ -802,35 +616,30 @@ let stats t =
     torn_pages = t.torn_pages;
   }
 
-let on_disk t ~rel ~block =
-  with_io t (fun () -> Hashtbl.mem t.disk { rel; block })
+let on_disk t ~rel ~block = Hashtbl.mem t.disk { rel; block }
 
 let dirty_keys t =
-  with_all_shards t (fun () ->
-      Array.to_list t.frames
-      |> List.filter_map (fun f ->
-             if f.used && f.dirty then Some (f.key.rel, f.key.block) else None))
+  Array.to_list t.frames
+  |> List.filter_map (fun f ->
+         if f.used && f.dirty then Some (f.key.rel, f.key.block) else None)
 
 let trim_block t ~rel ~block =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  (match find_resident_in s t ~rel ~block with
+  let key = { rel; block } in
+  (match find_resident t ~rel ~block with
   | Some f ->
       Page.reset f.page;
       f.dirty <- false
   | None -> ());
-  unlock_shard t s;
-  with_io t (fun () ->
-      Hashtbl.remove t.disk { rel; block };
-      Hashtbl.remove t.os_pending { rel; block };
-      ring_drop t { rel; block };
-      Hashtbl.remove t.torn_pending { rel; block };
-      Hashtbl.remove t.trusted { rel; block };
-      (* tell the device: its GC must never relocate this dead data *)
-      Device.trim t.device ~sector:(sector_of t ~rel ~block) ~bytes:t.page_size;
-      t.trims <- t.trims + 1;
-      match obs t with
-      | Some b -> Bus.publish b (Bus.Page_trim { rel; block })
-      | None -> ())
+  Hashtbl.remove t.disk key;
+  Hashtbl.remove t.os_pending key;
+  ring_drop t key;
+  Hashtbl.remove t.torn_pending key;
+  Hashtbl.remove t.trusted key;
+  (* tell the device: its GC must never relocate this dead data *)
+  Device.trim t.device ~sector:(sector_of t ~rel ~block) ~bytes:t.page_size;
+  t.trims <- t.trims + 1;
+  match obs t with
+  | Some b -> Bus.publish b (Bus.Page_trim { rel; block })
+  | None -> ()
 
 let trims t = t.trims

@@ -10,16 +10,9 @@
     Each relation owns a disjoint sector region on the device, so the
     block trace shows per-relation "swimlanes" (paper, Section 5.1).
 
-    The pool can be partitioned into [shards]: each shard owns a slice
-    of the frame array with its own mapping table, clock hands and lock,
-    and pages hash to shards by key, so domains touching disjoint pages
-    rarely contend (PostgreSQL's buffer-mapping partitions). Below the
-    mapping layer a single I/O lock serializes the simulated device and
-    clock. With the default [shards = 1] no lock is ever taken and
-    behavior is byte-identical to the unsharded pool. The pool
-    guarantees frame-table integrity across domains; synchronizing
-    {e page content} between domains remains the caller's concern —
-    shard your data.
+    A pool belongs to the domain that created it and takes no locks:
+    multicore runs give every domain its own engine, pool and device
+    (shared-nothing), so no frame is ever touched by two domains.
 
     {b Frame discipline.} A miss loads the page image into the buffer
     of the frame (or ring entry) that receives it, so buffers are
@@ -50,18 +43,13 @@ val create :
   ?os_cache_pages:int ->
   ?bus:Sias_obs.Bus.t ->
   ?faults:Flashsim.Faultdev.t ->
-  ?shards:int ->
   unit ->
   t
 (** [capacity_pages] frames of [page_size] (default 8192) bytes.
     Each relation owns a device region of 65536 blocks. [faults] injects
     device faults on this pool's reads and writes; transient read errors
     are retried up to 4 times with exponential backoff charged to the
-    clock.
-    [shards] (default 1) partitions the frames for multi-domain access;
-    must not exceed [capacity_pages]. *)
-
-val shard_count : t -> int
+    clock. *)
 
 val page_size : t -> int
 val device : t -> Flashsim.Device.t
@@ -103,7 +91,8 @@ val flush_all : t -> sync:bool -> unit
 
 val flush_some : t -> max_pages:int -> unit
 (** Background-writer step: asynchronously write up to [max_pages] dirty
-    frames, least-recently-used first. *)
+    frames, continuing a round-robin scan of the frames from where the
+    previous step stopped. *)
 
 val dirty_count : t -> int
 val resident : t -> rel:int -> block:int -> bool

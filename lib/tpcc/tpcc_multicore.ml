@@ -2,7 +2,6 @@ module Rng = Sias_util.Rng
 module Monotime = Sias_util.Monotime
 module Domainpool = Sias_util.Domainpool
 module Bus = Sias_obs.Bus
-module Walslots = Sias_wal.Walslots
 module W = Tpcc_workload
 
 (* Sharded multicore TPC-C: domain [d] owns warehouses
@@ -21,14 +20,13 @@ module W = Tpcc_workload
    shards and the wall clock shows the parallel speedup (each shard's
    simulated run is CPU-bound on its own core).
 
-   Two things cross domains, both as messages: each commit streams into
-   the domain's {!Walslots} insert slot (one flusher domain batches the
-   global commit log through the group-commit pipeline), and results
-   return to the coordinator when the domain joins. Per-shard
-   determinism is preserved exactly — the shard's sim is a pure function
-   of its config — so a multicore run is reproducible shard by shard
-   regardless of scheduling, and the per-shard SI checker remains a
-   complete oracle (no cross-shard row ever exists). *)
+   Nothing crosses domains but the start barrier and each shard's
+   outcome, returned to the coordinator when the domain joins. Every
+   shard commits through its own Db's WAL. Per-shard determinism is
+   preserved exactly — the shard's sim is a pure function of its config
+   — so a multicore run is reproducible shard by shard regardless of
+   scheduling, and the per-shard SI checker remains a complete oracle
+   (no cross-shard row ever exists). *)
 
 type config = {
   engine : string;
@@ -39,7 +37,6 @@ type config = {
           stream per domain *)
   isolation : Mvcc.Isolation.level;
   buffer_pages : int;
-  bufpool_shards : int;  (** sub-shards of each domain's buffer pool *)
   check : bool;  (** attach a per-shard checker as oracle *)
 }
 
@@ -50,7 +47,6 @@ let default_config ~engine ~domains ~warehouses_per_domain =
     base = W.default_config ~warehouses:warehouses_per_domain;
     isolation = `Si;
     buffer_pages = 2048;
-    bufpool_shards = 1;
     check = true;
   }
 
@@ -73,14 +69,7 @@ type result = {
   agg_notpm : float;  (** sum of per-shard simulated NOTPM *)
   wall_notpm : float;  (** committed new-orders * 60 / wall_s *)
   violations : int;
-  slots : Walslots.stats;
 }
-
-let encode_commit ~domain ~xid =
-  let b = Bytes.create 10 in
-  Bytes.set_uint16_le b 0 domain;
-  Bytes.set_int64_le b 2 (Int64.of_int xid);
-  b
 
 let new_orders_of (r : W.result) =
   match List.assoc_opt W.New_order r.W.per_kind with
@@ -110,9 +99,6 @@ let run cfg =
   let shard_seeds =
     Array.map (fun s -> Int64.to_int (Rng.int64 s) land max_int) streams
   in
-  let slots = Walslots.create ~slots:cfg.domains () in
-  let flusher_running = cfg.domains > 1 in
-  if flusher_running then Walslots.start slots;
   let barrier = Domainpool.Barrier.create cfg.domains in
   let wpd = cfg.base.W.warehouses in
   let worker d =
@@ -120,45 +106,16 @@ let run cfg =
     let shard_cfg = { cfg.base with W.seed = shard_seeds.(d) } in
     let bus = Bus.create () in
     let db =
-      Mvcc.Db.create ~bus ~buffer_pages:cfg.buffer_pages
-        ~bufpool_shards:cfg.bufpool_shards ~isolation:cfg.isolation ()
+      Mvcc.Db.create ~bus ~buffer_pages:cfg.buffer_pages ~isolation:cfg.isolation ()
     in
     let checker = if cfg.check then Some (Mvcc.Sichecker.attach bus) else None in
     let eng = E.create db in
     let tables = WE.create_tables eng in
     WE.load eng tables shard_cfg;
-    (* Commit stream relay: every commit of this shard becomes a message
-       in the domain's private insert slot; the flusher domain serializes
-       the global commit log and group-fsyncs per batch. The subscriber
-       only touches the slot mutex — no shard state — so it is safe to
-       run on this domain while the flusher drains on its own. *)
-    let last_ticket = ref None in
-    let commits_since_wait = ref 0 in
-    if flusher_running then
-      Bus.subscribe bus (function
-        | Bus.Txn_commit { xid } ->
-            last_ticket :=
-              Some
-                (Walslots.append slots ~slot:d ~xid ~rel:d ~kind:Sias_wal.Wal.Commit
-                   ~payload:(encode_commit ~domain:d ~xid));
-            incr commits_since_wait;
-            (* bounded outstanding window: park on the flusher's ack
-               every so often, like a terminal waiting on group commit *)
-            if !commits_since_wait >= 256 then begin
-              commits_since_wait := 0;
-              match !last_ticket with
-              | Some tk -> Walslots.wait_durable slots tk
-              | None -> ()
-            end
-        | _ -> ());
     (* Everyone loads before anyone's timed window opens. *)
     Domainpool.Barrier.wait barrier;
     let start_mono = Monotime.now () in
     let result = WE.run eng tables shard_cfg in
-    (* end-of-run durability barrier on the shared commit log *)
-    (match !last_ticket with
-    | Some tk when flusher_running -> Walslots.wait_durable slots tk
-    | _ -> ());
     let stop_mono = Monotime.now () in
     {
       domain = d;
@@ -172,8 +129,6 @@ let run cfg =
     }
   in
   let shards = Domainpool.run ~domains:cfg.domains worker in
-  Walslots.stop slots;
-  let slot_stats = Walslots.stats slots in
   let min_start =
     Array.fold_left (fun acc s -> Float.min acc s.start_mono) infinity shards
   in
@@ -204,7 +159,6 @@ let run cfg =
     agg_notpm;
     wall_notpm = float_of_int total_new_orders *. 60.0 /. wall_s;
     violations;
-    slots = slot_stats;
   }
 
 let pp_result ppf r =
@@ -221,6 +175,6 @@ let pp_result ppf r =
     r.shards;
   Format.fprintf ppf
     "  aggregate: %.0f NOTPM (sim), %.0f NOTPM (wall over %.2fs), %d \
-     committed, %d new-orders, %d violations@,  %a@]"
+     committed, %d new-orders, %d violations@]"
     r.agg_notpm r.wall_notpm r.wall_s r.total_committed r.total_new_orders
-    r.violations Walslots.pp_stats r.slots
+    r.violations

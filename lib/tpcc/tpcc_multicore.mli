@@ -6,9 +6,8 @@
     remote-item/remote-customer selections stay inside the shard — so
     the unmodified single-domain driver runs verbatim per shard, each
     shard is deterministic in isolation, and the per-shard checker is a
-    complete oracle. Commits stream as messages into per-domain
-    {!Sias_wal.Walslots} insert slots; a single flusher domain batches
-    the global commit log through the group-commit pipeline.
+    complete oracle. Nothing crosses domains but the start barrier and
+    each shard's outcome; every shard commits through its own WAL.
 
     Scaling is TPC-C's weak scaling: warehouses are per domain, N
     domains simulate an N-times larger system. Aggregate NOTPM sums the
@@ -23,14 +22,13 @@ type config = {
           via {!Sias_util.Rng.stream} *)
   isolation : Mvcc.Isolation.level;
   buffer_pages : int;  (** per domain *)
-  bufpool_shards : int;  (** sub-shards of each domain's buffer pool *)
   check : bool;  (** attach a per-shard [Mvcc.Sichecker] *)
 }
 
 val default_config :
   engine:string -> domains:int -> warehouses_per_domain:int -> config
-(** Standard TPC-C mix, 2048 buffer pages, single pool shard, checker
-    on, snapshot isolation. *)
+(** Standard TPC-C mix, 2048 buffer pages, checker on, snapshot
+    isolation. *)
 
 type shard_outcome = {
   domain : int;
@@ -51,12 +49,11 @@ type result = {
   agg_notpm : float;  (** sum of per-shard simulated NOTPM *)
   wall_notpm : float;  (** committed new-orders * 60 / wall_s *)
   violations : int;  (** total checker violations across shards — 0 or bust *)
-  slots : Sias_wal.Walslots.stats;  (** shared commit-log flusher stats *)
 }
 
 val run : config -> result
 (** Load and run every shard ([domains = 1] runs inline on the calling
-    domain with no flusher — the deterministic path). The timed window
+    domain — the deterministic path). The timed window
     opens after every shard has loaded (barrier). Raises on an unknown
     engine key or an invalid domain/warehouse count. *)
 

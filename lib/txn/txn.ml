@@ -7,14 +7,8 @@ type t = { xid : int; snapshot : Snapshot.t; start_time : float }
    Status lookup is a shift and a mask instead of a Hashtbl probe.
 
    Representation: codes are packed 16-per-word into a plain [int array]
-   published through an [Atomic.t] holder. Readers are lock-free — two
-   loads, a shift and a mask, from any domain. Writers serialize on a
-   mutex (begin/commit/abort are control-plane; visibility checks are
-   the hot path) and re-publish the array through the atomic holder
-   after every store, so the release/acquire pair gives a racing reader
-   everything up to the writer's latest publish; a reader that loses
-   the race sees the previous state of a monotone log, never a torn
-   word. [clog_bytes] mirrors the byte length the retired [Bytes.t]
+   owned by the manager's domain, like the rest of the manager.
+   [clog_bytes] mirrors the byte length the retired [Bytes.t]
    representation would have had (start 256, grow to
    [max (2*len) (byte+1)]) because the checkpoint image format — and
    therefore WAL record sizes and device byte counters in the committed
@@ -33,9 +27,8 @@ module Imap = Map.Make (Int)
 type mgr = {
   mutable next_xid : int;
   active : (int, Snapshot.t) Hashtbl.t;
-  clog : int array Atomic.t;
+  mutable clog : int array;
   mutable clog_bytes : int;
-  clog_lock : Mutex.t;
   mutable xmins : int Imap.t;
   mutable commit_lsn : int array;
   mutable flushed_probe : (unit -> int) option;
@@ -49,9 +42,8 @@ let create_mgr () =
   {
     next_xid = 1;
     active = Hashtbl.create 64;
-    clog = Atomic.make (Array.make (words_for_bytes 256) 0);
+    clog = Array.make (words_for_bytes 256) 0;
     clog_bytes = 256;
-    clog_lock = Mutex.create ();
     xmins = Imap.empty;
     commit_lsn = [||];
     flushed_probe = None;
@@ -60,39 +52,27 @@ let create_mgr () =
 let clog_get mgr xid =
   if xid < 1 then 0
   else begin
-    let a = Atomic.get mgr.clog in
+    let a = mgr.clog in
     let w = xid lsr 4 in
     if w >= Array.length a then 0
     else (Array.unsafe_get a w lsr ((xid land 15) * 2)) land 3
   end
 
-(* Callers hold [clog_lock]. *)
-let clog_set_locked mgr xid code =
+let clog_set mgr xid code =
+  if xid < 1 then invalid_arg "Txn: xid must be positive";
   let byte = xid lsr 2 in
   if byte >= mgr.clog_bytes then
     mgr.clog_bytes <- Stdlib.max (2 * mgr.clog_bytes) (byte + 1);
-  let a = Atomic.get mgr.clog in
   let w = xid lsr 4 in
-  let a =
-    if w < Array.length a then a
-    else begin
-      let len = Stdlib.max (words_for_bytes mgr.clog_bytes) (w + 1) in
-      let b = Array.make len 0 in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    end
-  in
+  if w >= Array.length mgr.clog then begin
+    let len = Stdlib.max (words_for_bytes mgr.clog_bytes) (w + 1) in
+    let b = Array.make len 0 in
+    Array.blit mgr.clog 0 b 0 (Array.length mgr.clog);
+    mgr.clog <- b
+  end;
+  let a = mgr.clog in
   let shift = (xid land 15) * 2 in
-  a.(w) <- (a.(w) land lnot (3 lsl shift)) lor (code lsl shift);
-  (* Publish: release store pairs with the reader's acquire load, making
-     the plain store above (and all before it) visible cross-domain. *)
-  Atomic.set mgr.clog a
-
-let clog_set mgr xid code =
-  if xid < 1 then invalid_arg "Txn: xid must be positive";
-  Mutex.lock mgr.clog_lock;
-  clog_set_locked mgr xid code;
-  Mutex.unlock mgr.clog_lock
+  a.(w) <- (a.(w) land lnot (3 lsl shift)) lor (code lsl shift)
 
 let active_xids mgr = Hashtbl.fold (fun xid _ acc -> xid :: acc) mgr.active []
 
@@ -166,7 +146,7 @@ let clog_image mgr =
      length following the legacy growth law via [clog_bytes] — so
      checkpoint payloads (and hence WAL/device byte counts in the
      goldens) are unchanged by the word-packed representation. *)
-  let a = Atomic.get mgr.clog in
+  let a = mgr.clog in
   let words = Array.length a in
   let code xid =
     let w = xid lsr 4 in
@@ -184,7 +164,6 @@ let clog_image mgr =
   (mgr.next_xid, image)
 
 let clog_restore mgr ~next_xid ~image =
-  Mutex.lock mgr.clog_lock;
   let bytes = String.length image in
   mgr.clog_bytes <- bytes;
   let a = Array.make (Stdlib.max 1 (words_for_bytes bytes)) 0 in
@@ -199,8 +178,7 @@ let clog_restore mgr ~next_xid ~image =
       end
     done
   done;
-  Atomic.set mgr.clog a;
-  Mutex.unlock mgr.clog_lock;
+  mgr.clog <- a;
   for xid = 1 to next_xid - 1 do
     if clog_get mgr xid = 1 then clog_set mgr xid 3
   done;
@@ -218,11 +196,7 @@ let reset_active mgr =
      durable verdict via [mark_recovered] / [clog_restore], both of
      which also advance [next_xid] past every xid seen in the log, so
      no xid with a durable trace can be re-issued. *)
-  Mutex.lock mgr.clog_lock;
-  let a = Atomic.get mgr.clog in
-  Array.fill a 0 (Array.length a) 0;
-  Atomic.set mgr.clog a;
-  Mutex.unlock mgr.clog_lock;
+  Array.fill mgr.clog 0 (Array.length mgr.clog) 0;
   mgr.next_xid <- 1
 
 let set_flushed_probe mgr f = mgr.flushed_probe <- Some f

@@ -6,16 +6,12 @@
     log (clog) recording the final status of every finished transaction,
     which the visibility check consults.
 
-    The clog is a dense 2-bits-per-xid word-packed array published
-    through an atomic holder: status reads ([status], [is_committed],
-    [visible]) are lock-free — two loads, a shift and a mask — and safe
-    from any domain, while writers (begin/commit/abort/recovery)
-    serialize on an internal mutex and re-publish after every store. A
-    reader racing a writer sees the monotone log's previous state, never
-    a torn word. The GC horizon is an incrementally maintained minimum
-    over active snapshot xmins, so both [status] and [horizon] are O(1)
-    on the hot path. Everything except clog reads remains single-writer:
-    one domain owns the manager, other domains may only query status. *)
+    The clog is a dense 2-bits-per-xid word-packed array: status reads
+    ([status], [is_committed], [visible]) are a load, a shift and a
+    mask. The GC horizon is an incrementally maintained minimum over
+    active snapshot xmins, so both [status] and [horizon] are O(1) on
+    the hot path. A manager belongs to the domain that created it and
+    takes no locks; multicore runs give every domain its own. *)
 
 type status = In_progress | Committed | Aborted
 

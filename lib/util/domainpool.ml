@@ -1,64 +1,9 @@
 (* Small parallel-execution primitives for OCaml 5 domains.
 
-   The design follows the shared-nothing / message-passing model (cf.
-   DragonflyBSD's lwkt + netisr): work is partitioned per domain up
-   front, domains own their data outright, and the only cross-domain
-   traffic flows through explicit channels. Nothing here is clever —
-   mutex+condvar channels and a phase barrier — because the sharding
-   layer above is what removes contention, not the primitives. *)
-
-module Chan = struct
-  type 'a t = {
-    q : 'a Queue.t;
-    m : Mutex.t;
-    nonempty : Condition.t;
-    mutable closed : bool;
-  }
-
-  let create () =
-    { q = Queue.create (); m = Mutex.create ();
-      nonempty = Condition.create (); closed = false }
-
-  let send t v =
-    Mutex.lock t.m;
-    if t.closed then begin
-      Mutex.unlock t.m;
-      invalid_arg "Domainpool.Chan.send: channel is closed"
-    end;
-    Queue.push v t.q;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.m
-
-  let close t =
-    Mutex.lock t.m;
-    t.closed <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.m
-
-  (* Blocking receive; [None] once the channel is closed and drained. *)
-  let recv t =
-    Mutex.lock t.m;
-    let rec wait () =
-      match Queue.take_opt t.q with
-      | Some v -> Mutex.unlock t.m; Some v
-      | None ->
-        if t.closed then (Mutex.unlock t.m; None)
-        else (Condition.wait t.nonempty t.m; wait ())
-    in
-    wait ()
-
-  let try_recv t =
-    Mutex.lock t.m;
-    let v = Queue.take_opt t.q in
-    Mutex.unlock t.m;
-    v
-
-  let length t =
-    Mutex.lock t.m;
-    let n = Queue.length t.q in
-    Mutex.unlock t.m;
-    n
-end
+   The design follows the shared-nothing model (cf. DragonflyBSD's
+   netisr): work is partitioned per domain up front and domains own
+   their data outright. The only cross-domain traffic is the start
+   barrier below and the results [run] returns when the domains join. *)
 
 module Barrier = struct
   type t = {

@@ -1,31 +1,8 @@
 (** Parallel-execution primitives for OCaml 5 domains.
 
-    Shared-nothing model: partition work per domain, communicate through
-    explicit channels. See DESIGN.md "Multicore execution model". *)
-
-module Chan : sig
-  (** Unbounded multi-producer multi-consumer channel (mutex + condvar). *)
-
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val send : 'a t -> 'a -> unit
-  (** Raises [Invalid_argument] if the channel has been closed. *)
-
-  val close : 'a t -> unit
-  (** Wake all blocked receivers; subsequent [recv] drains then returns
-      [None]. Idempotent. *)
-
-  val recv : 'a t -> 'a option
-  (** Block until a value is available or the channel is closed and
-      empty ([None]). *)
-
-  val try_recv : 'a t -> 'a option
-  (** Non-blocking receive. *)
-
-  val length : 'a t -> int
-end
+    Shared-nothing model: partition work per domain; the only
+    cross-domain traffic is a start {!Barrier} and the results {!run}
+    returns on join. See DESIGN.md "Multicore execution model". *)
 
 module Barrier : sig
   (** Reusable phase barrier for [parties] participants. *)

@@ -124,23 +124,30 @@ isolation:
 	dune exec examples/serializable.exe
 	dune exec bin/sias_cli.exe -- chaos --isolation ssi
 
-# Crash-schedule smoke: every engine x commit mode, a budgeted sample of
+# Crash-schedule smoke over the one shared crash workload and oracle
+# (Harness.Chaosrun): every engine x commit mode, a budgeted sample of
 # deterministic crash schedules (including crashes during recovery and
-# primary-crash failover) plus the out-of-space scenarios (array index)
-# and the bounded-WAL crash sweep: 20 KB WAL, 128-page pool, a crash
-# after every op k = 1..300, recovered rows compared with the committed
-# model. The first invocation sweeps the array index, the second
-# (--index paged) the paged one. Every schedule must recover
-# byte-identically to the model prefix. CHAOS_FULL=1 drops the budget
-# and enumerates every schedule (CI nightly). The report is kept as an
-# artifact either way; non-zero exit on any failing schedule or sweep
-# position.
+# primary-crash failover; the op stream has deletes, GC, checkpoints and
+# write-backs), the out-of-space scenarios (array index), and two
+# bounded-WAL crash sweeps on a 128-page pool, a crash after every op
+# k = 1..300: 300 upserts under a 20 KB WAL, and a seeded mix of
+# upserts, deletes, GC, checkpoints and write-backs under a 64 KB WAL
+# (GC trims pages while reclamation truncates the log). The first
+# invocation runs the array index, the second (--index paged) the paged
+# one. Every schedule and position must recover to the committed model
+# prefix. CHAOS_FULL=1 drops the budget and enumerates every schedule
+# (CI nightly). The report is kept as an artifact either way and printed;
+# the exit is non-zero on any failing schedule or sweep position.
 chaos:
 	mkdir -p _obs
 	dune exec bin/sias_cli.exe -- chaos --standby \
-	  $(if $(CHAOS_FULL),--full,) | tee _obs/chaos_report.txt
+	  $(if $(CHAOS_FULL),--full,) > _obs/chaos_report.txt \
+	  || { cat _obs/chaos_report.txt; exit 1; }
+	cat _obs/chaos_report.txt
 	dune exec bin/sias_cli.exe -- chaos --index paged \
-	  $(if $(CHAOS_FULL),--full,) | tee _obs/chaos_report_paged.txt
+	  $(if $(CHAOS_FULL),--full,) > _obs/chaos_report_paged.txt \
+	  || { cat _obs/chaos_report_paged.txt; exit 1; }
+	cat _obs/chaos_report_paged.txt
 
 # Paged-index smoke: a beyond-RAM TPC-C run on the WAL-logged paged
 # B+Tree for each engine (array is the default and stays on the golden

@@ -212,10 +212,11 @@ let chaos_cmd =
       & info [ "oos" ] ~docv:"BOOL"
           ~doc:
             "Also run the out-of-space scenarios: reclamation and \
-             degradation on the array index, then the bounded-WAL \
-             crash-position sweep (crash after every op k in 1..300, \
-             recover, compare with the committed model) on the \
-             $(b,--index) kind.")
+             degradation on the array index, then the two bounded-WAL \
+             crash-position sweeps on the $(b,--index) kind (upserts at a \
+             20 KB WAL; upserts, deletes, GC, checkpoints and write-backs \
+             at a 64 KB WAL): crash after every op k in 1..300, recover, \
+             verify against the committed model. One line per sweep.")
   in
   let run engines isolation index modes standby budget full oos =
     let failures = ref 0 in
@@ -260,12 +261,12 @@ let chaos_cmd =
     if oos then
       List.iter
         (fun e ->
-          let o = Chaosrun.oos_run ~engine:e ~wal_capacity_bytes:20_000 ~ops:400 () in
+          let o = Chaosrun.oos_run ~engine:e ~wal_capacity_bytes:20_000 () in
           let live =
             o.Chaosrun.reclaims > 0 && o.Chaosrun.degraded = None
             && o.Chaosrun.read_only_errors = 0 && o.Chaosrun.consistent
           in
-          let h = Chaosrun.oos_run ~hold:true ~engine:e ~wal_capacity_bytes:12_000 ~ops:400 () in
+          let h = Chaosrun.oos_run ~hold:true ~engine:e ~wal_capacity_bytes:12_000 () in
           let loud =
             (h.Chaosrun.read_only_errors > 0 || h.Chaosrun.shed > 0)
             && (h.Chaosrun.degraded <> None || h.Chaosrun.backpressure_on > 0)
@@ -279,16 +280,18 @@ let chaos_cmd =
             (if live then "ok" else "FAIL")
             h.Chaosrun.shed h.Chaosrun.read_only_errors
             (if loud then "ok" else "FAIL");
-          let sw = Chaosrun.crash_sweep ~index ~engine:e () in
-          let failed = List.length sw.Chaosrun.failures in
-          failures := !failures + failed;
-          Format.printf
-            "== oos %-10s crash sweep (%s index): %d/%d positions failed, %d degraded@."
-            e index failed sw.Chaosrun.positions sw.Chaosrun.degraded_runs;
-          List.iteri
-            (fun i (k, why) ->
-              if i < 3 then Format.printf "   FAIL crash after op %d: %s@." k why)
-            sw.Chaosrun.failures)
+          List.iter
+            (fun (sw : Chaosrun.sweep_outcome) ->
+              let failed = List.length sw.failures in
+              failures := !failures + failed;
+              Format.printf
+                "== oos %-10s crash sweep (%s, %s index): %d/%d positions failed, %d degraded@."
+                e sw.sweep index failed sw.positions sw.degraded_runs;
+              List.iteri
+                (fun i (k, why) ->
+                  if i < 3 then Format.printf "   FAIL crash after op %d: %s@." k why)
+                sw.failures)
+            (Chaosrun.crash_sweep ~index ~engine:e ()))
         engines;
     if !failures > 0 then begin
       Format.printf "chaos: %d failures@." !failures;

@@ -1,11 +1,12 @@
-(** Crash-schedule sessions and out-of-space scenarios for the chaos
-    explorer.
+(** Crash-recovery workloads: one op vocabulary, one applier and one
+    verifier shared by every crash driver.
 
-    A [config] describes one deterministic seeded workload over a
-    registered engine — optionally through the WAL-shipping standby, in
-    which case the crash kills the primary and "recovery" is failover to
-    the promoted standby. {!session} packages it as an
-    {!Sias_chaos.Explorer.session} whose [verify] adjudicates:
+    A [config] names a registered engine and an op list. The applier
+    runs the ops against a fresh database (128-page pool) and keeps the
+    commit-order model, optionally through a WAL-shipping standby: then
+    the crash kills the primary and "recovery" is failover to the
+    promoted standby. After {!Mvcc.Db.crash} and recovery the verifier
+    adjudicates:
 
     - {b committed prefix}: the recovered committed set is a prefix of
       commit order, at least as long as the durably-acknowledged prefix
@@ -16,10 +17,27 @@
       plus the post-recovery reads as a valid SI history;
     - {b idempotency}: running recovery a second time changes nothing.
 
-    Any divergence raises {!Divergence}, which the explorer records as a
-    schedule failure. *)
+    Any divergence raises {!Divergence}. The drivers differ only in the
+    op list and where the crash lands: {!explore} at every instrumented
+    crash point, {!crash_sweep} after every prefix of an op list,
+    {!crash_after} (the QCheck properties) after the whole list. *)
 
 exception Divergence of string
+
+(** Keys stay within 1..40. Each transaction op is one serial
+    transaction through the admission gate; a {!Mvcc.Db.Read_only}
+    refusal (also one raised out of [Gc]) is counted, not raised. *)
+type op =
+  | Upsert of int * int  (** insert, or update when the key exists *)
+  | Update of int * int
+  | Delete of int
+  | Read of int  (** a read-only transaction *)
+  | Tick  (** advance simulated time 20 ms, then {!Mvcc.Db.tick} *)
+  | Checkpoint  (** {!Sias_storage.Bufpool.flush_all} *)
+  | Writeback  (** {!Sias_storage.Bufpool.flush_os_cache} *)
+  | Gc
+
+val pp_op : op -> string
 
 type config = {
   engine : string;  (** registry key: "si", "si-cv", "sias", "sias-v" *)
@@ -27,8 +45,10 @@ type config = {
   index : string;  (** index kind: "array" or "paged" *)
   commit_mode : Sias_wal.Commitpipe.mode;
   standby : bool;  (** crash the primary, fail over to a hot standby *)
-  ops : int;  (** workload length (committed txns, ticks, reads) *)
-  seed : int;  (** LCG seed: same seed, same schedule, same census *)
+  ops : op list;
+  faults : (int * Flashsim.Faultdev.profile) option;
+      (** fault plan (seed, profile) on the data device; a loud
+          [Corrupt_page] or [Corrupt_wal] is then an accepted outcome *)
 }
 
 val config :
@@ -36,27 +56,30 @@ val config :
   ?index:string ->
   ?commit_mode:Sias_wal.Commitpipe.mode ->
   ?standby:bool ->
-  ?ops:int ->
-  ?seed:int ->
+  ?ops:op list ->
+  ?faults:int * Flashsim.Faultdev.profile ->
   string ->
   config
-(** Defaults: isolation "si", index "array", sync commit, no standby,
-    60 ops, seed 11. The workload is serial, so the schedule census is
-    identical at every isolation level; what an SSI/WSI run adds is the
-    check that the volatile SIREAD/conflict state never leaks across
-    {!Mvcc.Db.crash} — a commit refused after recovery raises
-    {!Divergence}. An [index:"paged"] run additionally walks through the
-    paged-index crash points ([index.fpw.pre], [index.wal.pre-apply],
-    [index.split.mid]), adjudicating WAL-logged index recovery. *)
+(** Defaults: isolation "si", index "array", sync commit, no standby, no
+    faults, and the explorer stream: 60 seeded ops of every kind over 12
+    keys. The workload is serial, so the schedule census is identical at
+    every isolation level; an SSI/WSI run adds the check that volatile
+    SIREAD/conflict state never leaks across {!Mvcc.Db.crash}. A paged
+    index adds the [index.*] crash points, and a GC that trims a page
+    reaches [gc.trim.post]. *)
 
 val session : config -> Sias_chaos.Explorer.session
-(** A fresh database/engine/workload instance. The database is built
-    here — at factory time, before the explorer arms a crash point — so
-    setup-time WAL traffic never eats an armed workload site. *)
+(** A fresh database/engine/workload instance, built at factory time —
+    before the explorer arms a crash point — so setup-time WAL traffic
+    never eats an armed workload site. *)
 
 val explore :
   ?cfg:Sias_chaos.Explorer.config -> config -> Sias_chaos.Explorer.report
 (** [Explorer.explore] over {!session} factories for this config. *)
+
+val crash_after : config -> (unit, string) result
+(** Run every op, crash, recover and verify; [Error] says what
+    diverged. *)
 
 (** {1 Out-of-space degradation} *)
 
@@ -65,48 +88,40 @@ type oos_outcome = {
   committed : int;
   read_only_errors : int;  (** writers refused with {!Mvcc.Db.Read_only} *)
   shed : int;  (** admissions refused by watermark backpressure *)
-  reclaims : int;
-      (** WAL reclamations observed on the bus (each runs between
-          operations, at a transaction begin or a tick) *)
+  reclaims : int;  (** WAL reclamations observed on the bus *)
   backpressure_on : int;
   backpressure_off : int;
   degraded : string option;  (** final degraded-mode reason, if entered *)
   consistent : bool;
-      (** after restart, the recovered state served exactly the committed
-          model — exercising the checkpoint CLOG snapshot and
-          truncated-log redo *)
+      (** a crash after the run recovered to the verifier's satisfaction
+          — exercising the checkpoint CLOG snapshot and truncated-log
+          redo *)
 }
 
 val oos_run :
-  ?hold:bool ->
-  ?ops:int ->
-  engine:string ->
-  wal_capacity_bytes:int ->
-  unit ->
-  oos_outcome
-(** Drive an upsert workload against a finite-capacity WAL. Without
-    [hold], reclamation keeps the workload running indefinitely; with
-    [hold] (a retention hold pinning the whole log) reclamation could free
-    nothing, so it never checkpoints, and the database must refuse
-    writers loudly (backpressure shedding or read-only degradation)
-    instead.
-    Default 400 ops. *)
+  ?hold:bool -> engine:string -> wal_capacity_bytes:int -> unit -> oos_outcome
+(** 400 upserts over 40 keys, a tick before every tenth, against a
+    finite-capacity WAL. Without [hold], reclamation keeps the workload
+    running; with [hold] (a retention hold pinning the whole log)
+    reclamation could free nothing, so it never checkpoints, and the
+    database must refuse writers loudly (backpressure shedding or
+    read-only degradation) instead. *)
 
 (** {1 Crash-position sweep} *)
 
 type sweep_outcome = {
+  sweep : string;  (** which op list, at which WAL capacity *)
   positions : int;  (** crash positions tried: after op 1, 2, ... *)
-  failures : (int * string) list;
-      (** [(k, why)] for every position [k] whose recovery raised or
-          whose recovered rows differ from the committed model *)
+  failures : (int * string) list;  (** [(k, why)] per failed position *)
   degraded_runs : int;
       (** positions whose run went loudly read-only before the crash *)
 }
 
-val crash_sweep : index:string -> engine:string -> unit -> sweep_outcome
-(** For every [k] in [1..300]: a fresh database with
-    a 128-page pool and a 20 KB WAL, [k] ops of the {!oos_run} upsert
-    workload over 40 keys with no ticks (so reclamation runs only at
-    transaction begins), a crash, recovery, and a check that the
-    recovered rows equal the committed model. [index] is "array" or
-    "paged". *)
+val crash_sweep : index:string -> engine:string -> unit -> sweep_outcome list
+(** Two sweeps; for every [k] in [1..300], {!crash_after} the first [k]
+    ops on the [index] kind:
+    - upserts over 40 keys at a 20 KB WAL, with no ticks, so reclamation
+      runs only at transaction begins;
+    - a seeded mix of upserts, deletes, GC, checkpoints and write-backs
+      at a 64 KB WAL: GC relocates live versions and trims whole pages
+      while reclamation truncates the log. *)

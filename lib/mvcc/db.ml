@@ -82,6 +82,10 @@ let create ?bus ?device ?wal_device ?(buffer_pages = 2048)
     Wal.create ?device:wal_device ?faults ~bus ?capacity_bytes:wal_capacity_bytes
       ~clock ()
   in
+  (* The write-ahead rule (PostgreSQL's FlushBuffer -> XLogFlush): a
+     page write or trim first forces the log up to the page's records. *)
+  Bufpool.set_wal_gate pool (fun lsn ->
+      if lsn > Wal.flushed_lsn wal then Wal.flush wal ~sync:true);
   let commitpipe = Commitpipe.create ~wal ~clock ~bus commit_mode in
   let fpw_done = Hashtbl.create 512 in
   let bgwriter =

@@ -289,9 +289,8 @@ module Make (V : VERSION_STORE) = struct
             then begin
               List.iter (fun (tid, _) -> relocate t table live tid) live_slots;
               t.swept <- t.swept + List.length dead_slots;
-              Heapfile.discard_block table.heap block;
-              Walcodec.log_heap t.db ~xid:0 ~rel:table.rel ~kind:Wal.Trim
-                ~tid:(Tid.make ~block ~slot:0) ~item:Bytes.empty;
+              Walcodec.log_trim t.db ~rel:table.rel ~block (fun () ->
+                  Heapfile.discard_block table.heap block);
               t.reclaimed <- t.reclaimed + 1
             end
           end
@@ -306,12 +305,28 @@ module Make (V : VERSION_STORE) = struct
      blocks, reopen the indexes, then let the store rebuild its entry
      points (and the array indexes) from on-tuple information alone. *)
 
-  let discover_nblocks pool ~rel =
-    let b = ref 0 in
-    while Bufpool.on_disk pool ~rel ~block:!b || Bufpool.resident pool ~rel ~block:!b do
-      incr b
-    done;
-    !b
+  (* The write-ahead rule's loud guard: redo never stamps a page past the
+     durable log end, so an on-device heap image beyond it reached the
+     device ahead of its records, and LSNs recovery hands out again would
+     be skipped by redo's page-LSN guard. *)
+  let check_write_ahead t table ~nblocks =
+    let durable = Wal.current_lsn t.db.Db.wal in
+    for block = 0 to nblocks - 1 do
+      match Bufpool.image_lsn t.db.Db.pool ~rel:table.rel ~block with
+      | Some lsn when lsn > durable ->
+          raise
+            (Walcodec.Redo_divergence
+               {
+                 rel = table.rel;
+                 block;
+                 detail =
+                   Printf.sprintf
+                     "on-device page LSN %d is past the durable WAL end %d: \
+                      the page reached the device ahead of its log records"
+                     lsn durable;
+               })
+      | Some _ | None -> ()
+    done
 
   let recover t =
     Walcodec.replay_clog t.db;
@@ -319,7 +334,9 @@ module Make (V : VERSION_STORE) = struct
     List.iter
       (fun table ->
         Sias_chaos.Crashpoint.reach "recover.heap.restore";
-        let nblocks = discover_nblocks t.db.Db.pool ~rel:table.rel in
+        (* GC-trimmed holes may lie anywhere below the heap's extent *)
+        let nblocks = Bufpool.extent t.db.Db.pool ~rel:table.rel in
+        check_write_ahead t table ~nblocks;
         table.heap <-
           Heapfile.restore t.db.Db.pool ~rel:table.rel ~placement:V.placement ~nblocks;
         table.vidmap <- V.vidmap t.db;

@@ -111,11 +111,10 @@ let delta_blocks deltas =
    record's LSN before capture, so redo's page-LSN guard treats the
    install exactly like any other record. A torn data-page write found at
    recovery is then repairable from the latest image plus the item
-   records that follow it. Trim is exempt: replaying it recreates the
-   empty page with no image needed. *)
+   records that follow it. *)
 let log_heap ?append_only db ~xid ~rel ~kind ~tid ~item =
   let block = Tid.block tid in
-  let fpw = kind <> Wal.Trim && not (Hashtbl.mem db.Db.fpw_done (rel, block)) in
+  let fpw = not (Hashtbl.mem db.Db.fpw_done (rel, block)) in
   if fpw then begin
     Crashpoint.reach "walcodec.fpw.pre";
     Hashtbl.replace db.Db.fpw_done (rel, block) ();
@@ -137,6 +136,21 @@ let log_heap ?append_only db ~xid ~rel ~kind ~tid ~item =
     let lsn = Db.log_op db ~xid ~rel ~kind ~payload:(encode ?append_only tid item) in
     Bufpool.with_page db.Db.pool ~rel ~block (fun page -> Page.set_lsn page lsn)
   end
+
+(* GC's page discard, log first: append the Trim record, then run
+   [discard] (the pool's write-ahead gate makes the record durable before
+   the device forgets the block), then stamp the emptied page. Trimmed
+   first, a crash before the record was durable would let redo rebuild
+   the discarded block from its older records. Replaying Trim recreates
+   the empty page, so it needs no full-page image. *)
+let log_trim db ~rel ~block discard =
+  let lsn =
+    Db.log_op db ~xid:0 ~rel ~kind:Wal.Trim
+      ~payload:(encode (Tid.make ~block ~slot:0) Bytes.empty)
+  in
+  discard ();
+  Crashpoint.reach "gc.trim.post";
+  Bufpool.with_page db.Db.pool ~rel ~block (fun page -> Page.set_lsn page lsn)
 
 (* WAL-first logger injected into {!Sias_index.Paged_btree}: full-page-
    write protect every touched pre-existing block on its first

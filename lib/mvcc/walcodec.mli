@@ -50,6 +50,12 @@ val log_heap :
     page's first post-checkpoint modification a [Full_page] image is
     logged instead (it subsumes the item record). *)
 
+val log_trim : Db.t -> rel:int -> block:int -> (unit -> unit) -> unit
+(** GC's page discard, log first: append the [Trim] record, run the
+    discard (the pool's write-ahead gate makes the record durable before
+    the device trim), reach crash point [gc.trim.post], then stamp the
+    emptied page with the record's LSN. *)
+
 val redo : Db.t -> since_lsn:int -> unit
 (** Replay verified heap and paged-index records with LSN >=
     [since_lsn]. Array indexes and VID_maps are not logged: engines

@@ -85,6 +85,8 @@ type t = {
          have been damaged since (no fault injection): read-in skips
          CRC32 re-verification for them. *)
   mutable repair : (rel:int -> block:int -> Page.t option) option;
+  mutable wal_gate : int -> unit;
+      (* makes the log durable up to an LSN before a page write or trim *)
   mutable flushes : int;
   mutable read_stall : float;
   mutable write_stall : float;
@@ -149,6 +151,7 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?os_cache_interval
     torn_pending = Hashtbl.create 64;
     trusted = Hashtbl.create 1024;
     repair = None;
+    wal_gate = ignore;
   }
 
 let page_size t = t.page_size
@@ -178,6 +181,7 @@ let submit_io t ~sync op key =
   end
 
 let set_repair t fn = t.repair <- Some fn
+let set_wal_gate t fn = t.wal_gate <- fn
 
 (* Load the durable image of [key] into [dst], a page no caller holds
    (a frame's or a ring entry's own buffer), or make [dst] the empty page
@@ -309,8 +313,9 @@ let os_cache_tick t =
         t.os_next_flush <- Simclock.now t.clock +. interval
       end
 
-let write_back t frame ~sync =
+let write_back t (frame : frame) ~sync =
   Crashpoint.reach "bufpool.writeback.pre";
+  t.wal_gate (Page.lsn frame.page);
   let durable =
     (* Fault-free fast path: reuse the existing durable buffer instead of
        allocating a fresh page copy per flush. With fault injection on,
@@ -618,12 +623,26 @@ let stats t =
 
 let on_disk t ~rel ~block = Hashtbl.mem t.disk { rel; block }
 
+let extent t ~rel =
+  let top = ref (-1) in
+  let note key = if key.rel = rel && key.block > !top then top := key.block in
+  Hashtbl.iter (fun key _ -> note key) t.disk;
+  Hashtbl.iter (fun key _ -> note key) t.index;
+  !top + 1
+
+let image_lsn t ~rel ~block =
+  match Hashtbl.find_opt t.disk { rel; block } with
+  | Some image when Page.checksum_ok image -> Some (Page.lsn image)
+  | Some _ | None -> None
+
 let dirty_keys t =
   Array.to_list t.frames
   |> List.filter_map (fun f ->
          if f.used && f.dirty then Some (f.key.rel, f.key.block) else None)
 
 let trim_block t ~rel ~block =
+  (* the discard is durable at once: so must be every record before it *)
+  t.wal_gate max_int;
   let key = { rel; block } in
   (match find_resident t ~rel ~block with
   | Some f ->

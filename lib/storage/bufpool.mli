@@ -115,6 +115,13 @@ val set_repair : t -> (rel:int -> block:int -> Page.t option) -> unit
     read then raises {!Corrupt_page}. A repaired page is re-stamped and
     written back to the disk image table. *)
 
+val set_wal_gate : t -> (int -> unit) -> unit
+(** Install the write-ahead gate: it is called with the page LSN before
+    any page image is written, and with [max_int] before a block is
+    trimmed, and must make the log durable up to that LSN. No page may
+    reach the device ahead of its log records. The default does nothing
+    (a pool with no log). *)
+
 val sector_of : t -> rel:int -> block:int -> int
 
 type stats = {
@@ -135,6 +142,15 @@ val stats : t -> stats
 val on_disk : t -> rel:int -> block:int -> bool
 (** Whether a flushed image of the page exists on the device (used by
     recovery to rediscover relation sizes). *)
+
+val extent : t -> rel:int -> int
+(** One past the highest block of [rel] that is on the device or
+    resident; 0 when there is none. Blocks below it may be holes (trimmed
+    by GC). *)
+
+val image_lsn : t -> rel:int -> block:int -> int option
+(** The page LSN of the on-device image of the block, when one exists
+    and its checksum verifies. *)
 
 val dirty_keys : t -> (int * int) list
 (** (rel, block) of every dirty resident frame; for tests/debugging. *)

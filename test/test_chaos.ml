@@ -5,11 +5,12 @@
    during the resulting recovery (nested crashes, recovery re-run to
    fixpoint) — and requires each schedule to end byte-equal to the model
    prefix at the commit horizon, with a clean SI-checker verdict and
-   idempotent recovery. The out-of-space scenarios drive a finite WAL to
-   exhaustion and require either successful reclamation between
-   operations or a loud, typed, read-only degradation — never corruption
-   or a crash — and the crash-position sweep recovers a bounded-WAL run
-   after every single op.
+   idempotent recovery. The QCheck properties crash after random op
+   lists under the same oracle. The out-of-space scenarios drive a
+   finite WAL to exhaustion and require either successful reclamation
+   between operations or a loud, typed, read-only degradation — never
+   corruption or a crash — and the crash-position sweeps recover two
+   bounded-WAL runs after every single op.
 
    Bounded by default ([max_schedules]); CHAOS_FULL=1 removes the budget
    for the full enumeration (the [make chaos] CI target). *)
@@ -90,6 +91,9 @@ let test_census_coverage () =
       "commitpipe.commit.pre";
       "commitpipe.group.close.pre";
       "walcodec.fpw.pre";
+      (* GC trimmed a page: its Trim record must already be durable here,
+         or redo rebuilds the discarded block from its older records *)
+      "gc.trim.post";
     ];
   List.iter
     (fun p ->
@@ -102,6 +106,39 @@ let test_census_coverage () =
       "recover.redo.record";
       "recover.heap.restore";
     ]
+
+(* ---- crash-point fuzz: random op lists, crash after the last op ---- *)
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun k v -> Chaosrun.Upsert (k, v)) (int_range 1 30) (int_bound 1000));
+        (4, map2 (fun k v -> Chaosrun.Update (k, v)) (int_range 1 30) (int_bound 1000));
+        (1, map (fun k -> Chaosrun.Delete k) (int_range 1 30));
+        (1, map (fun k -> Chaosrun.Read k) (int_range 1 30));
+        (1, return Chaosrun.Tick);
+        (1, return Chaosrun.Checkpoint);
+        (1, return Chaosrun.Writeback);
+        (1, return Chaosrun.Gc);
+      ])
+
+let print_ops ops = String.concat "; " (List.map Chaosrun.pp_op ops)
+
+(* [Ok] is a pass; [Error] fails the property with the verifier's report *)
+let holds = function Ok () -> true | Error why -> QCheck.Test.fail_report why
+
+let fuzz (name, engine) =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:(name ^ ": crash-point recovery fuzz")
+       ~count:60
+       (QCheck.make ~print:print_ops ~shrink:QCheck.Shrink.list
+          QCheck.Gen.(list_size (int_range 0 80) gen_op))
+       (fun ops -> holds (Chaosrun.crash_after (Chaosrun.config ~ops engine))))
+
+let engine_names =
+  [ ("SI", "si"); ("SI-CV", "si-cv"); ("SIAS-Chains", "sias"); ("SIAS-V", "sias-v") ]
 
 (* ---- satellite: recovery idempotency under k nested crashes ---- *)
 
@@ -177,7 +214,7 @@ let test_device_capacity_typed () =
 
 let test_oos_reclamation engine () =
   let o =
-    Chaosrun.oos_run ~engine ~wal_capacity_bytes:20_000 ~ops:400 ()
+    Chaosrun.oos_run ~engine ~wal_capacity_bytes:20_000 ()
   in
   check "reclamations happened" true (o.Chaosrun.reclaims > 0);
   check "workload survived (no degradation)" true (o.Chaosrun.degraded = None);
@@ -192,7 +229,7 @@ let test_oos_pinned engine () =
   List.iter
     (fun cap ->
       let o =
-        Chaosrun.oos_run ~hold:true ~engine ~wal_capacity_bytes:cap ~ops:400 ()
+        Chaosrun.oos_run ~hold:true ~engine ~wal_capacity_bytes:cap ()
       in
       let at what = Printf.sprintf "%s (%d-byte WAL)" what cap in
       (* a hold pins the whole log: reclamation cannot free anything, so
@@ -218,8 +255,7 @@ let test_oos_hard_degraded () =
      read-only degraded mode, and a restart still serves a sound (empty)
      state — no crash, no corruption *)
   let o =
-    Chaosrun.oos_run ~hold:true ~engine:"si" ~wal_capacity_bytes:6_000
-      ~ops:400 ()
+    Chaosrun.oos_run ~hold:true ~engine:"si" ~wal_capacity_bytes:6_000 ()
   in
   check "typed Read_only raised" true (o.Chaosrun.read_only_errors > 0);
   check "degraded mode entered" true (o.Chaosrun.degraded <> None);
@@ -229,12 +265,18 @@ let test_oos_hard_degraded () =
 (* ---- bounded WAL: recovery at every crash position ---- *)
 
 let test_crash_sweep engine index () =
-  let o = Chaosrun.crash_sweep ~engine ~index () in
-  List.iteri
-    (fun i (k, why) -> if i < 5 then Printf.printf "crash after op %d: %s\n" k why)
-    o.Chaosrun.failures;
-  checki "positions whose recovery failed or diverged from the model" 0
-    (List.length o.Chaosrun.failures)
+  List.iter
+    (fun (o : Chaosrun.sweep_outcome) ->
+      List.iteri
+        (fun i (k, why) ->
+          if i < 5 then Printf.printf "%s: crash after op %d: %s\n" o.sweep k why)
+        o.failures;
+      checki (o.sweep ^ ": positions whose recovery failed the verifier") 0
+        (List.length o.failures);
+      (* the mixed sweep tests truncation under GC, not degradation *)
+      if String.starts_with ~prefix:"mixed" o.sweep then
+        checki (o.sweep ^ ": degraded runs") 0 o.degraded_runs)
+    (Chaosrun.crash_sweep ~engine ~index ())
 
 let suite =
   let modes =
@@ -255,6 +297,7 @@ let suite =
         Alcotest.test_case "device: typed No_space on the write path" `Quick
           test_device_capacity_typed;
       ];
+      List.map fuzz engine_names;
       (* schedules: every engine under sync; modes crossed on sias-v *)
       List.map
         (fun e ->

@@ -22,50 +22,22 @@ let set_v v r =
 
 (* ---------- GC + crash recovery, for each SIAS engine ---------- *)
 
-module Gc_recovery (E : Engine.S) = struct
-  let test () =
-    let db = Db.create ~buffer_pages:512 () in
-    let eng = E.create db in
-    let table = E.create_table eng ~name:"t" ~pk_col:0 () in
-    let commit f =
-      let txn = E.begin_txn eng in
-      f txn;
-      E.commit eng txn |> Result.get_ok
-    in
-    commit (fun txn ->
-        for k = 1 to 200 do
-          E.insert eng txn table (row k 0) |> Result.get_ok
-        done);
-    (* churn so early pages decay, then seal everything and GC *)
-    for i = 1 to 4 do
-      commit (fun txn ->
-          for k = 1 to 200 do
-            E.update eng txn table ~pk:k (set_v i) |> Result.get_ok
-          done)
-    done;
-    Bufpool.flush_all db.Db.pool ~sync:false;
-    E.gc eng;
-    check "trim happened" true (Bufpool.trims db.Db.pool > 0);
-    (* more committed work AFTER the GC, then crash *)
-    commit (fun txn ->
-        for k = 1 to 50 do
-          E.update eng txn table ~pk:k (set_v 99) |> Result.get_ok
-        done);
-    Bufpool.drop_cache db.Db.pool;
-    E.recover eng;
-    let txn = E.begin_txn eng in
-    let n =
-      E.scan eng txn table (fun r ->
-          let k = Value.int r.(0) and v = Value.int r.(1) in
-          let expect = if k <= 50 then 99 else 4 in
-          checki (Printf.sprintf "row %d value" k) expect v)
-    in
-    E.commit eng txn |> Result.get_ok;
-    checki "all rows survive gc + crash" 200 n
-end
-
-module Gc_rec_chains = Gc_recovery (Mvcc.Sias_engine)
-module Gc_rec_vectors = Gc_recovery (Mvcc.Sias_vector)
+(* Four rounds over 40 keys, each sealed by a checkpoint, leave sealed
+   pages of dead versions; GC trims them, then more committed work
+   follows. Every sampled crash schedule must recover the committed
+   model. *)
+let test_gc_recovery engine () =
+  let module C = Harness.Chaosrun in
+  let module X = Sias_chaos.Explorer in
+  let round v = List.init 40 (fun k -> C.Upsert (k + 1, v)) @ [ C.Checkpoint ] in
+  let ops =
+    List.concat_map round [ 0; 1; 2; 3 ]
+    @ (C.Gc :: List.init 10 (fun k -> C.Upsert (k + 1, 99)))
+  in
+  let cfg = { X.hits_per_point = 1; depth2 = false; max_schedules = Some 40 } in
+  let r = C.explore ~cfg (C.config ~ops engine) in
+  check "trim happened" true (List.mem_assoc "gc.trim.post" r.X.points);
+  checki "failing crash schedules" 0 (List.length r.X.failures)
 
 (* ---------- recovery from a WAL truncated at a checkpoint ---------- *)
 
@@ -88,18 +60,8 @@ let test_recovery_after_checkpoint_truncation () =
     E.insert eng txn table (row k k) |> Result.get_ok
   done;
   E.commit eng txn |> Result.get_ok;
-  (* drop heap records below the checkpoint, keep commit/abort records *)
-  let keep =
-    List.filter
-      (fun (r : Wal.record) ->
-        r.lsn > checkpoint_lsn || r.kind = Wal.Commit || r.kind = Wal.Abort)
-      (Wal.records_from db.Db.wal ~lsn:0)
-  in
+  (* recycle the log below the checkpoint *)
   Wal.truncate_before db.Db.wal ~lsn:(checkpoint_lsn + 1);
-  List.iter
-    (fun (r : Wal.record) ->
-      if r.lsn <= checkpoint_lsn && (r.kind = Wal.Commit || r.kind = Wal.Abort) then ())
-    keep;
   Bufpool.drop_cache db.Db.pool;
   E.recover eng;
   let txn = E.begin_txn eng in
@@ -308,8 +270,8 @@ let test_trim_reaches_ftl () =
 let suite =
   [
     Alcotest.test_case "trim reaches the FTL" `Quick test_trim_reaches_ftl;
-    Alcotest.test_case "SIAS-Chains: gc + crash recovery" `Quick Gc_rec_chains.test;
-    Alcotest.test_case "SIAS-V: gc + crash recovery" `Quick Gc_rec_vectors.test;
+    Alcotest.test_case "SIAS-Chains: gc + crash recovery" `Quick (test_gc_recovery "sias");
+    Alcotest.test_case "SIAS-V: gc + crash recovery" `Quick (test_gc_recovery "sias-v");
     Alcotest.test_case "recovery after checkpoint truncation" `Quick
       test_recovery_after_checkpoint_truncation;
     Alcotest.test_case "SIAS-V vector spill + overflow chain" `Quick test_vector_spill_overflow;

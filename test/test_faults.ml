@@ -1,165 +1,36 @@
-(* Fault-injection torture: run a random committed workload under a seeded
-   fault plan (transient read errors, bit rot, torn writes), crash at a
-   random operation boundary — in-flight page writes tear, the unflushed
-   WAL tail is lost — recover, and verify that exactly the committed state
-   is visible. Recovery must either reproduce the committed model
-   byte-for-byte or fail loudly ([Corrupt_page] / [Corrupt_wal]); a
-   silently wrong answer is the only failing outcome. Runs over all four
-   engines. *)
+(* Fault-injection torture: the crash-point fuzz of [Test_chaos] under a
+   seeded fault plan on the data device (transient read errors, bit rot,
+   torn writes). The crash tears in-flight page writes and loses the
+   unflushed WAL tail. Recovery must pass the shared verifier or fail
+   loudly ([Corrupt_page] / [Corrupt_wal]); a silently wrong answer is
+   the only failing outcome. Runs over all four engines. *)
 
-module Value = Mvcc.Value
-module Db = Mvcc.Db
-module Engine = Mvcc.Engine
-module Bufpool = Sias_storage.Bufpool
-module Wal = Sias_wal.Wal
 module Faultdev = Flashsim.Faultdev
-module Device = Flashsim.Device
+module Chaosrun = Harness.Chaosrun
 
-let row k v = [| Value.Int k; Value.Int v |]
-
-type op =
-  | C_insert of int * int
-  | C_update of int * int
-  | C_delete of int
-  | C_flush_all  (** checkpoint *)
-  | C_flush_os  (** dirty-expire writeback *)
-  | C_gc
-
-let gen_op =
+let gen_faults =
   QCheck.Gen.(
-    frequency
-      [
-        (4, map2 (fun k v -> C_insert (k, v)) (int_range 1 30) (int_bound 1000));
-        (4, map2 (fun k v -> C_update (k, v)) (int_range 1 30) (int_bound 1000));
-        (1, map (fun k -> C_delete k) (int_range 1 30));
-        (1, return C_flush_all);
-        (1, return C_flush_os);
-        (1, return C_gc);
-      ])
-
-let pp_op = function
-  | C_insert (k, v) -> Printf.sprintf "insert(%d,%d)" k v
-  | C_update (k, v) -> Printf.sprintf "update(%d,%d)" k v
-  | C_delete k -> Printf.sprintf "delete(%d)" k
-  | C_flush_all -> "checkpoint"
-  | C_flush_os -> "writeback"
-  | C_gc -> "gc"
-
-type scenario = {
-  ops : op list;
-  crash_at : int;
-  fault_seed : int;
-  profile : Faultdev.profile;
-}
+    pair (int_bound 10_000)
+      (frequency
+         [
+           (1, return Faultdev.none);
+           (3, return Faultdev.light);
+           (2, return Faultdev.heavy);
+         ]))
 
 let arb_scenario =
   QCheck.make
-    ~print:(fun s ->
-      Printf.sprintf "faults(seed=%d,%s) crash@%d: %s" s.fault_seed
-        (Faultdev.profile_name s.profile) s.crash_at
-        (String.concat "; " (List.map pp_op s.ops)))
-    QCheck.Gen.(
-      list_size (int_range 5 40) gen_op >>= fun ops ->
-      int_bound (List.length ops) >>= fun crash_at ->
-      int_bound 10_000 >>= fun fault_seed ->
-      frequency
-        [
-          (1, return Faultdev.none);
-          (3, return Faultdev.light);
-          (2, return Faultdev.heavy);
-        ]
-      >>= fun profile -> return { ops; crash_at; fault_seed; profile })
+    ~print:(fun ((seed, profile), ops) ->
+      Printf.sprintf "faults(seed=%d,%s): %s" seed (Faultdev.profile_name profile)
+        (Test_chaos.print_ops ops))
+    QCheck.Gen.(pair gen_faults (list_size (int_range 0 40) Test_chaos.gen_op))
 
-module Make (E : Engine.S) = struct
-  (* Applies ops one committed transaction each, maintaining the expected
-     model; crashes after [crash_at] ops (torn writes manifest, the
-     unflushed WAL tail is lost); recovers; compares exactly. *)
-  let run s =
-    let faults = Faultdev.create ~profile:s.profile ~seed:s.fault_seed () in
-    let device = Faultdev.wrap faults (Device.ssd_x25e ~name:"data-ssd" ()) in
-    (* a small pool forces evictions and re-reads, maximising exposure to
-       injected read faults *)
-    let db = Db.create ~device ~faults ~buffer_pages:128 () in
-    let eng = E.create db in
-    let table = E.create_table eng ~name:"t" ~pk_col:0 () in
-    let model = Hashtbl.create 32 in
-    let apply i op =
-      if i < s.crash_at then
-        match op with
-        | C_insert (k, v) ->
-            let txn = E.begin_txn eng in
-            (match E.insert eng txn table (row k v) with
-            | Ok () ->
-                E.commit eng txn |> Result.get_ok;
-                Hashtbl.replace model k v
-            | Error _ -> E.abort eng txn)
-        | C_update (k, v) ->
-            let txn = E.begin_txn eng in
-            (match
-               E.update eng txn table ~pk:k (fun r ->
-                   let r = Array.copy r in
-                   r.(1) <- Value.Int v;
-                   r)
-             with
-            | Ok () ->
-                E.commit eng txn |> Result.get_ok;
-                Hashtbl.replace model k v
-            | Error _ -> E.abort eng txn)
-        | C_delete k ->
-            let txn = E.begin_txn eng in
-            (match E.delete eng txn table ~pk:k with
-            | Ok () ->
-                E.commit eng txn |> Result.get_ok;
-                Hashtbl.remove model k
-            | Error _ -> E.abort eng txn)
-        | C_flush_all -> Bufpool.flush_all db.Db.pool ~sync:false
-        | C_flush_os -> Bufpool.flush_os_cache db.Db.pool
-        | C_gc -> E.gc eng
-    in
-    try
-      List.iteri apply s.ops;
-      (* an in-flight transaction at crash time must be rolled back *)
-      let in_flight = E.begin_txn eng in
-      ignore (E.insert eng in_flight table (row 999 999));
-      (* CRASH: torn page writes manifest, unflushed WAL records vanish *)
-      Db.crash db;
-      E.recover eng;
-      (* committed state must match the model exactly *)
-      let txn = E.begin_txn eng in
-      let ok = ref true in
-      for k = 1 to 30 do
-        let expect = Hashtbl.find_opt model k in
-        let got =
-          Option.map (fun r -> Value.int r.(1)) (E.read eng txn table ~pk:k)
-        in
-        if got <> expect then ok := false
-      done;
-      if E.read eng txn table ~pk:999 <> None then ok := false;
-      let visible = E.scan eng txn table (fun _ -> ()) in
-      E.commit eng txn |> Result.get_ok;
-      !ok && visible = Hashtbl.length model
-    with
-    | Bufpool.Corrupt_page _ | Wal.Corrupt_wal _ ->
-        (* unrepairable damage detected and reported loudly — acceptable;
-           only silent divergence fails *)
-        true
+let torture (name, engine) =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:(name ^ ": fault-injection recovery torture")
+       ~count:200 arb_scenario
+       (fun (faults, ops) ->
+         Test_chaos.holds (Chaosrun.crash_after (Chaosrun.config ~ops ~faults engine))))
 
-  let test name =
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:(name ^ ": fault-injection recovery torture")
-         ~count:200 arb_scenario run)
-end
-
-module Si_faults = Make (Mvcc.Si_engine)
-module Sicv_faults = Make (Mvcc.Si_cv_engine)
-module Sias_faults = Make (Mvcc.Sias_engine)
-module Vec_faults = Make (Mvcc.Sias_vector)
-
-let suite =
-  [
-    Si_faults.test "SI";
-    Sicv_faults.test "SI-CV";
-    Sias_faults.test "SIAS-Chains";
-    Vec_faults.test "SIAS-V";
-  ]
+let suite = List.map torture Test_chaos.engine_names

@@ -26,7 +26,6 @@ let () =
       ("integration", Test_extra.suite);
       ("tpcc-consistency", Test_tpcc_consistency.suite);
       ("hint-bits", Test_hintbits.suite);
-      ("crash-fuzz", Test_crash.suite);
       ("fault-torture", Test_faults.suite);
       ("wal-retention", Test_walretention.suite);
       ("repl-failover", Test_repl.suite);

@@ -95,7 +95,9 @@ obs:
 # fsyncs must fall and throughput must not regress.
 groupcommit:
 	mkdir -p _obs
-	dune exec bench/main.exe -- groupcommit | tee _obs/groupcommit.txt
+	dune exec bench/main.exe -- groupcommit > _obs/groupcommit.txt \
+	  || { cat _obs/groupcommit.txt; exit 1; }
+	cat _obs/groupcommit.txt
 
 # Replication smoke: forced failover (load, partition, crash the
 # primary, promote the standby, verify) on every engine, one remote-flush
@@ -110,7 +112,8 @@ repl:
 	dune exec bin/sias_cli.exe -- run -e sias-v -w 2 -d 10 --scale-div 300 \
 	  --repl remote-flush --repl-link lossy
 	dune exec bench/main.exe -- repl --bench-out _obs/BENCH_repl.json \
-	  | tee _obs/repl.txt
+	  > _obs/repl.txt || { cat _obs/repl.txt; exit 1; }
+	cat _obs/repl.txt
 
 # Isolation smoke: the si/ssi/wsi ablation across all four engines (the
 # bench exits non-zero unless si shows write-skew anomalies and the
@@ -120,7 +123,8 @@ repl:
 isolation:
 	mkdir -p _obs
 	dune exec bench/main.exe -- isolation --bench-out _obs/BENCH_isolation.json \
-	  | tee _obs/isolation.txt
+	  > _obs/isolation.txt || { cat _obs/isolation.txt; exit 1; }
+	cat _obs/isolation.txt
 	dune exec examples/serializable.exe
 	dune exec bin/sias_cli.exe -- chaos --isolation ssi
 

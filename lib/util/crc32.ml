@@ -1,26 +1,24 @@
-(* CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Used for page
-   and WAL-record checksums; the value fits OCaml's native int. *)
+(* CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8 in
+   crc32_stubs.c. Used for page and WAL-record checksums; the value fits
+   OCaml's native int. *)
 
-let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+external init_tables : unit -> unit = "sias_crc32_init_tables"
+
+(* Module initialisation runs before any domain is spawned, so the tables
+   are written once and only read afterwards. *)
+let () = init_tables ()
+
+external update_unchecked : int -> bytes -> int -> int -> int = "sias_crc32_update"
+[@@noalloc]
 
 let init = 0xFFFFFFFF
 
+(* [pos > length - len] rather than [pos + len > length]: the sum can
+   overflow, and the stub reads whatever range it is given. *)
 let update crc buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
     invalid_arg "Crc32.update: range out of bounds";
-  let table = Lazy.force table in
-  let crc = ref crc in
-  for i = pos to pos + len - 1 do
-    crc := table.((!crc lxor Char.code (Bytes.get buf i)) land 0xFF) lxor (!crc lsr 8)
-  done;
-  !crc
+  update_unchecked crc buf pos len
 
 let finish crc = crc lxor 0xFFFFFFFF
 

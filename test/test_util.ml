@@ -1,4 +1,4 @@
-(* Tests for Sias_util: clock, RNG, statistics, table formatting. *)
+(* Tests for Sias_util: clock, RNG, statistics, table formatting, CRC-32. *)
 
 open Sias_util
 
@@ -161,6 +161,61 @@ let qcheck_acc_mean_bounds =
       Stats.Acc.mean a >= Stats.Acc.min a -. 1e-6
       && Stats.Acc.mean a <= Stats.Acc.max a +. 1e-6)
 
+(* Bit-at-a-time CRC-32 straight from the definition (reflected IEEE
+   polynomial, init and final xor 0xFFFFFFFF): the reference the
+   slicing-by-8 implementation is checked against. *)
+let crc32_reference s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_known_answers () =
+  checki "empty" 0 (Crc32.bytes Bytes.empty);
+  checki "check value" 0xCBF43926 (Crc32.bytes (Bytes.of_string "123456789"));
+  let page = Bytes.init 8192 (fun i -> Char.chr ((i * 7) land 0xFF)) in
+  checki "8 KB page" (crc32_reference (Bytes.to_string page)) (Crc32.bytes page)
+
+let test_crc32_range_checked () =
+  let buf = Bytes.make 16 'x' in
+  let bad = Invalid_argument "Crc32.update: range out of bounds" in
+  Alcotest.check_raises "negative pos" bad (fun () ->
+      ignore (Crc32.update Crc32.init buf ~pos:(-1) ~len:4));
+  Alcotest.check_raises "negative len" bad (fun () ->
+      ignore (Crc32.update Crc32.init buf ~pos:0 ~len:(-1)));
+  Alcotest.check_raises "past the end" bad (fun () ->
+      ignore (Crc32.update Crc32.init buf ~pos:9 ~len:8));
+  Alcotest.check_raises "pos + len overflows" bad (fun () ->
+      ignore (Crc32.update Crc32.init buf ~pos:1 ~len:max_int));
+  checki "empty range at the end" Crc32.init (Crc32.update Crc32.init buf ~pos:16 ~len:0)
+
+(* Random data at an unaligned offset inside a padded buffer, lengths that
+   are mostly not multiples of 8, split once at a random point. *)
+let qcheck_crc32_reference =
+  QCheck.Test.make ~name:"crc32 matches the bitwise reference, one-shot and streamed"
+    ~count:500
+    QCheck.(
+      quad (int_bound 7)
+        (list_of_size Gen.(int_bound 300) (int_bound 255))
+        (int_bound 7) (int_bound 300))
+    (fun (pre, data, post, split) ->
+      let n = List.length data in
+      let buf = Bytes.make (pre + n + post) '\xa5' in
+      List.iteri (fun i b -> Bytes.set buf (pre + i) (Char.chr b)) data;
+      let expected = crc32_reference (Bytes.sub_string buf pre n) in
+      let one_shot = Crc32.digest buf ~pos:pre ~len:n in
+      let k = min split n in
+      let streamed =
+        let c = Crc32.update Crc32.init buf ~pos:pre ~len:k in
+        Crc32.finish (Crc32.update c buf ~pos:(pre + k) ~len:(n - k))
+      in
+      one_shot = expected && streamed = expected)
+
 let suite =
   [
     Alcotest.test_case "clock basics" `Quick test_clock_basics;
@@ -176,6 +231,9 @@ let suite =
     Alcotest.test_case "sample growth" `Quick test_sample_growth;
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "table formatting" `Quick test_tablefmt;
+    Alcotest.test_case "crc32 known answers" `Quick test_crc32_known_answers;
+    Alcotest.test_case "crc32 range checked" `Quick test_crc32_range_checked;
     QCheck_alcotest.to_alcotest qcheck_percentile_sorted;
     QCheck_alcotest.to_alcotest qcheck_acc_mean_bounds;
+    QCheck_alcotest.to_alcotest qcheck_crc32_reference;
   ]

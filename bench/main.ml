@@ -415,60 +415,6 @@ let ablation_endurance c =
   note "nothing to relocate: fewer erases and lower peak wear per unit of work";
   note "(paper Sec. 6: the I/O pattern suggests increased Flash endurance)."
 
-let ablation_contention c =
-  section "Contention: conflict policies -- TPC-C 1 WH, 8 terminals, retries 5, SI checker on";
-  let module C = Sias_txn.Contention in
-  let tbl =
-    T.create
-      [ "engine"; "policy"; "NOTPM"; "conflicts"; "retries"; "give-ups"; "victims"; "SI check" ]
-  in
-  List.iter
-    (fun engine ->
-      List.iter
-        (fun policy ->
-          let o =
-            c.run
-              {
-                (default_setup ~engine ~warehouses:1) with
-                duration_s = (if c.full then 60.0 else 10.0);
-                buffer_pages = 1024;
-                scale_div = 300;
-                terminals_per_warehouse = 8;
-                think_time_s = 0.2;
-                gc_interval_s = Some 30.0;
-                contention = { C.default_settings with C.policy };
-                retries = 5;
-                check_si = true;
-              }
-          in
-          let r = o.result in
-          let sum get = List.fold_left (fun t (_, ks) -> t + get ks) 0 r.W.per_kind in
-          let cs = o.contention_stats in
-          let verdict =
-            match o.checker with
-            | Some c when Mvcc.Sichecker.violation_count c = 0 -> "OK"
-            | Some c ->
-                Printf.sprintf "%d VIOLATIONS" (Mvcc.Sichecker.violation_count c)
-            | None -> "-"
-          in
-          T.add_row tbl
-            [
-              engine_name engine;
-              C.policy_to_string policy;
-              T.fmt_float ~decimals:0 r.W.notpm;
-              string_of_int (sum (fun ks -> ks.W.conflicts));
-              string_of_int (sum (fun ks -> ks.W.retries));
-              string_of_int (sum (fun ks -> ks.W.gave_ups));
-              string_of_int cs.C.victim_aborts;
-              verdict;
-            ])
-        C.all_policies)
-    [ "si"; "si-cv"; "sias"; "sias-v" ];
-  T.print tbl;
-  note "the driver is a serial discrete-event loop: transactions never overlap, so";
-  note "client-visible conflicts stay at zero and every policy agrees; policies and";
-  note "the retry loop differentiate under the interleaved-transaction test suite."
-
 let ablation_groupcommit c =
   section
     "Commit pipeline: sync vs group vs async -- TPC-C 1 WH, WAL on its own SSD";
@@ -1053,7 +999,6 @@ let experiments =
     ("noftl", plain ablation_noftl);
     ("vidmap", plain ablation_vidmap);
     ("endurance", plain ablation_endurance);
-    ("contention", plain ablation_contention);
     ("groupcommit", plain ablation_groupcommit);
     ("repl", ablation_repl);
     ("isolation", ablation_isolation);

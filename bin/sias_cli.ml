@@ -65,8 +65,8 @@ let domains_arg =
    its warehouse range and its own Db outright. A shard's Db is built
    from the workload, engine, isolation and buffer size alone, so every
    other run flag (device/fault/replication topology, flushing, commit
-   pipeline, contention settings, per-run observability artifacts) is
-   rejected loudly rather than silently ignored. *)
+   pipeline, per-run observability artifacts) is rejected loudly rather
+   than silently ignored. *)
 let run_multicore ~domains s =
   let module MC = Tpcc.Tpcc_multicore in
   let unsupported =
@@ -81,8 +81,6 @@ let run_multicore ~domains s =
         ("--flush", s.flush <> T2);
         ("--synchronous-commit", not s.synchronous_commit);
         ("--commit-delay", s.commit_delay_s > 0.0);
-        ("--conflict-policy", s.contention.C.policy <> C.No_wait);
-        ("--max-inflight", s.contention.C.max_inflight <> None);
         ("--metrics-out", s.metrics_out <> None);
         ("--trace-out", s.trace_out <> None);
         ("--stats-interval", s.stats_interval_s <> None);

@@ -1,6 +1,5 @@
 open Cmdliner
 open Harness.Experiments
-module C = Sias_txn.Contention
 
 (* A conv from a parser that reports its own message. *)
 let of_result parse print =
@@ -10,10 +9,21 @@ let at_least lo c =
   let pp = Arg.conv_printer c in
   let parse s =
     match Arg.conv_parser c s with
-    | Ok v when v < lo -> Error (`Msg (Format.asprintf "%s is below the minimum %a" s pp lo))
+    (* written so that nan is rejected too *)
+    | Ok v when not (v >= lo) ->
+        Error (`Msg (Format.asprintf "%s is below the minimum %a" s pp lo))
     | r -> r
   in
   Arg.conv (parse, pp)
+
+(* Rejects zero, negatives and nan. *)
+let positive_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when not (v > 0.0) -> Error (`Msg (s ^ " is not a positive number"))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
 
 let engine_conv =
   of_result
@@ -183,10 +193,13 @@ let setup =
   and+ index = index
   and+ device =
     Arg.(value & opt device_conv Ssd_single & info [ "device" ] ~doc:"ssd, ssd:<blocks>, hdd, raid2, raid6.")
-  and+ warehouses = Arg.(value & opt int 20 & info [ "w"; "warehouses" ] ~doc:"TPC-C warehouses.")
-  and+ duration_s = Arg.(value & opt float 30.0 & info [ "d"; "duration" ] ~doc:"Simulated seconds.")
+  and+ warehouses =
+    Arg.(value & opt (at_least 1 int) 20 & info [ "w"; "warehouses" ] ~doc:"TPC-C warehouses.")
+  and+ duration_s =
+    Arg.(value & opt positive_float 30.0 & info [ "d"; "duration" ] ~doc:"Simulated seconds.")
   and+ buffer_pages =
-    Arg.(value & opt int 2048 & info [ "buffer" ] ~doc:"Buffer pool pages (8 KB each).")
+    Arg.(
+      value & opt (at_least 1 int) 2048 & info [ "buffer" ] ~doc:"Buffer pool pages (8 KB each).")
   and+ flush =
     Arg.(
       value
@@ -195,40 +208,29 @@ let setup =
   and+ gc =
     Arg.(value & opt (some float) (Some 10.0) & info [ "gc" ] ~doc:"GC interval (sim s); 0 disables.")
   and+ scale_div =
-    Arg.(value & opt int 100 & info [ "scale-div" ] ~doc:"Cardinality divisor vs spec TPC-C.")
-  and+ seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
-  and+ o = overlay
-  and+ policy =
     Arg.(
       value
-      & opt
-          (of_result C.policy_of_string (fun fmt p ->
-               Format.pp_print_string fmt (C.policy_to_string p)))
-          C.No_wait
-      & info [ "conflict-policy" ]
-          ~doc:"Lock-conflict policy: no-wait, wait-die, wound-wait or detect.")
+      & opt (at_least 1 int) 100
+      & info [ "scale-div" ] ~doc:"Cardinality divisor vs spec TPC-C.")
+  and+ seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
+  and+ o = overlay
   and+ retries =
     Arg.(
       value
-      & opt int 0
+      & opt (at_least 0 int) 0
       & info [ "retries" ]
           ~doc:"Resubmit conflict-aborted transactions up to $(docv) times (0 = off).")
-  and+ max_inflight =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-inflight" ] ~doc:"Admission cap on concurrently running transactions.")
   and+ check_si =
     Arg.(
       value & flag
       & info [ "check-si" ]
           ~doc:"Verify snapshot-isolation invariants online; exit 1 on violation.")
   and+ terminals_per_warehouse =
-    Arg.(value & opt int 1 & info [ "terminals" ] ~doc:"Terminals per warehouse.")
+    Arg.(value & opt (at_least 1 int) 1 & info [ "terminals" ] ~doc:"Terminals per warehouse.")
   and+ stats_interval_s =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some positive_float) None
       & info [ "stats-interval" ]
           ~doc:"Print a progress line to stderr every $(docv) simulated seconds."
           ~docv:"SECONDS")
@@ -277,7 +279,6 @@ let setup =
     seed;
     fault_seed = o.fault_seed;
     fault_profile = o.fault_profile;
-    contention = { C.default_settings with C.policy; max_inflight };
     retries;
     (* serializable levels always run under the online checker: the whole
        point of ssi/wsi is a certifiable absence of cycles *)

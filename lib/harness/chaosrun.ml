@@ -253,8 +253,7 @@ module Make (E : Engine.S) = struct
     | Contention.Shed -> i.shed <- i.shed + 1
     | Contention.Admitted ->
         i.attempted <- i.attempted + 1;
-        (try body () with Db.Read_only _ -> i.read_only <- i.read_only + 1);
-        Contention.release i.db.Db.contention
+        (try body () with Db.Read_only _ -> i.read_only <- i.read_only + 1)
 
   let update i k v txn =
     E.update i.eng txn i.table ~pk:k (fun r ->

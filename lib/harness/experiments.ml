@@ -168,6 +168,8 @@ let workload_config setup =
 (* Periodic progress line on stderr, driven by simulated time: every
    event is a chance to notice the sim clock crossed the next tick. *)
 let attach_stats_ticker bus ~clock ~metrics ~interval =
+  if not (interval > 0.0) then
+    invalid_arg (Printf.sprintf "stats interval %g is not positive" interval);
   let next = ref interval in
   let metric name labels =
     match Metrics.value metrics ~labels name with Some v -> v | None -> 0.0

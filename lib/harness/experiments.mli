@@ -58,8 +58,7 @@ type setup = {
   fault_profile : Flashsim.Faultdev.profile;
       (** fault rates used when [fault_seed] is set *)
   contention : Sias_txn.Contention.settings;
-      (** conflict policy and admission limits (default: no-wait,
-          unlimited — the historical behaviour) *)
+      (** seeds the retry backoff jitter *)
   retries : int;
       (** client retries per conflict-aborted transaction; 0 = off *)
   check_si : bool;  (** enable the online SI invariant checker *)
@@ -69,7 +68,8 @@ type setup = {
       (** write a Chrome trace-event JSON of the run phase to this path *)
   stats_interval_s : float option;
       (** print a progress line to stderr every this many simulated
-          seconds *)
+          seconds; [run_tpcc] raises [Invalid_argument] when it is not
+          positive *)
   collect_metrics : bool;
       (** attach the metrics recorder even without [metrics_out] — the
           {!output.metrics} field is then [Some] *)

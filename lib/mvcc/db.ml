@@ -121,7 +121,7 @@ let create ?bus ?device ?wal_device ?(buffer_pages = 2048)
     vidmap_paged;
     faults;
     fpw_done;
-    contention = Contention.create ~settings:contention ~bus ~clock ~lockmgr ();
+    contention = Contention.create ~settings:contention ~bus ~clock ();
     bus;
     next_rel = 0;
     tickers = [];
@@ -267,17 +267,10 @@ let abort t txn =
   Hashtbl.remove t.wrote txn.Txn.xid;
   Txn.abort t.txnmgr txn;
   Lockmgr.release_all t.lockmgr ~xid:txn.Txn.xid;
-  Contention.finished t.contention ~xid:txn.Txn.xid;
   (match t.ssi with Some s -> Ssimgr.on_abort s txn | None -> ());
   if observed t then emit t (Bus.Txn_abort { xid = txn.Txn.xid })
 
 let commit t txn =
-  if Contention.is_doomed t.contention ~xid:txn.Txn.xid then begin
-    (* wound-wait / deadlock victim reaching commit: it loses *)
-    Contention.note_victim_abort t.contention;
-    abort t txn;
-    raise (Contention.Wounded txn.Txn.xid)
-  end;
   (match t.degraded with
   | Some reason when Hashtbl.mem t.wrote txn.Txn.xid ->
       (* a writer slipped past the gate before degradation hit *)
@@ -287,7 +280,7 @@ let commit t txn =
   (* Isolation-level commit rule (SSI dangerous-structure check / WSI
      read-write certification) runs before anything durable happens: a
      failing transaction is aborted here — callers must NOT abort it
-     again (same contract as {!Sias_txn.Contention.Wounded}). *)
+     again. *)
   (match t.ssi with
   | Some s -> (
       match Ssimgr.pre_commit s txn with
@@ -326,7 +319,6 @@ let commit t txn =
   Crashpoint.reach "db.clog.mark.post";
   Hashtbl.remove t.wrote txn.Txn.xid;
   Lockmgr.release_all t.lockmgr ~xid:txn.Txn.xid;
-  Contention.finished t.contention ~xid:txn.Txn.xid;
   (match t.ssi with Some s -> Ssimgr.on_commit s txn | None -> ());
   if observed t then emit t (Bus.Txn_commit { xid = txn.Txn.xid })
 
@@ -396,7 +388,7 @@ let crash t =
   Commitpipe.crash t.commitpipe;
   Lockmgr.reset t.lockmgr;
   Txn.reset_active t.txnmgr;
-  Contention.reset_admission t.contention;
+  Contention.set_backpressure t.contention false;
   Hashtbl.reset t.fpw_done;
   Hashtbl.reset t.wrote;
   (* SIREAD locks, rw edges and doomed flags are volatile: recovery must

@@ -29,8 +29,7 @@ type t = {
           the last checkpoint; cleared by the checkpointer so each page's
           first post-checkpoint modification logs a repair base image *)
   contention : Sias_txn.Contention.t;
-      (** conflict policy, retry orchestrator and admission gate; engines
-          route writer-lock acquisition through it *)
+      (** retry orchestrator and the backpressure admission gate *)
   bus : Sias_obs.Bus.t;
       (** the context's observability event bus: every layer below
           (device, buffer pool, WAL, background writer, contention) and
@@ -86,7 +85,7 @@ exception Serialization_failure of { xid : int; reason : string }
 (** The isolation level's commit rule (SSI dangerous-structure check or
     WSI read-write certification) rejected the transaction. It has
     already been aborted when this is raised — do {e not} abort it
-    again (the {!Sias_txn.Contention.Wounded} contract). Engines
+    again. Engines
     translate this into [Error Serialization_failure]. *)
 
 (** Events contributed by the MVCC layer. [Txn_snapshot] accompanies
@@ -124,8 +123,8 @@ val create :
     2048 buffer pages and checkpoint-only flushing every 30 simulated
     seconds. Every row operation charges 5 µs of simulated CPU. [faults]
     injects the same fault plan into the buffer pool (reads/writes of
-    data pages) and the WAL (torn async flushes). [contention] selects the conflict policy
-    and admission limits (default: no-wait, unlimited). [commit_mode]
+    data pages) and the WAL (torn async flushes). [contention] seeds the
+    retry backoff jitter. [commit_mode]
     selects the commit pipeline (default: synchronous per-commit fsync,
     the historical behavior). [isolation] selects the isolation level
     (default [`Si], the historical snapshot-isolation behavior —
@@ -158,9 +157,7 @@ val commit : t -> Sias_txn.Txn.t -> unit
     per-commit fsync by default, deferred group fsync or async ack under
     the other modes (the driver inspects
     {!Sias_wal.Commitpipe.last_ack} to learn which) — then mark
-    committed and release locks. If the transaction was doomed by a
-    wound-wait or deadlock-victim decision, it is aborted instead and
-    {!Sias_txn.Contention.Wounded} is raised. Under [`Ssi]/[`Wsi] the
+    committed and release locks. Under [`Ssi]/[`Wsi] the
     level's commit rule runs first; on failure the transaction is
     aborted and {!Serialization_failure} is raised — callers must not
     abort it again. Under a capacity-bounded WAL a transaction that

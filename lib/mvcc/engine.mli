@@ -46,8 +46,7 @@ module type S = sig
       the transaction is marked committed. [Error Serialization_failure]
       when the context's isolation level rejected it — the transaction
       was aborted internally; do {e not} call {!abort} on it. Other
-      failure modes keep their exceptions ({!Sias_txn.Contention.Wounded},
-      {!Db.Read_only}). *)
+      failure modes keep their exceptions ({!Db.Read_only}). *)
 
   val abort : t -> Sias_txn.Txn.t -> unit
 

@@ -4,7 +4,7 @@
 
 open Version_store
 module Bufpool = Sias_storage.Bufpool
-module Contention = Sias_txn.Contention
+module Lockmgr = Sias_txn.Lockmgr
 
 module type VERSION_STORE = S
 
@@ -176,9 +176,10 @@ module Make (V : VERSION_STORE) = struct
         emit_write t txn table pk (Some row);
         Ok ()
 
-  (* First-updater-wins: an in-progress writer of the item holds its
-     writer lock, so the conflict policy (wait / wound / detect) decides
-     first; a newer version than the visible one loses outright. *)
+  (* First-updater-wins, no wait: an in-progress writer of the item holds
+     its writer lock, so a held lock aborts the write at once; a newer
+     version than the visible one loses outright. A stale claim with no
+     in-progress writer does not take the lock. *)
   let write t txn table ~pk make_row =
     match find_item t txn table pk with
     | None -> Error Engine.Not_found
@@ -186,27 +187,25 @@ module Make (V : VERSION_STORE) = struct
         match V.claim t txn table payload hit with
         | Vanished -> Error Engine.Not_found
         | Claim { contended; stale } -> (
-            let acquire () =
-              Contention.acquire t.db.Db.contention ~xid:txn.Txn.xid ~rel:table.rel
-                ~key:(V.lock_key ~pk ~payload)
+            let granted =
+              (contended || not stale)
+              && Lockmgr.try_acquire t.db.Db.lockmgr ~xid:txn.Txn.xid ~rel:table.rel
+                   ~key:(V.lock_key ~pk ~payload)
+                 = Lockmgr.Granted
             in
-            if (contended && acquire () = Contention.Abort_self) || stale then
-              Error Engine.Write_conflict
+            if stale || not granted then Error Engine.Write_conflict
             else
-              match acquire () with
-              | Contention.Abort_self -> Error Engine.Write_conflict
-              | Contention.Granted -> (
-                  let new_row = make_row old_row in
-                  (match new_row with
-                  | Some row when pk_of table row <> pk ->
-                      invalid_arg (V.name ^ ".update: primary key must not change")
-                  | _ -> ());
-                  match V.supersede t txn table ~payload hit ~old_row new_row with
-                  | Error e -> Error e
-                  | Ok () ->
-                      note_write t txn table pk;
-                      emit_write t txn table pk new_row;
-                      Ok ())))
+              let new_row = make_row old_row in
+              (match new_row with
+              | Some row when pk_of table row <> pk ->
+                  invalid_arg (V.name ^ ".update: primary key must not change")
+              | _ -> ());
+              match V.supersede t txn table ~payload hit ~old_row new_row with
+              | Error e -> Error e
+              | Ok () ->
+                  note_write t txn table pk;
+                  emit_write t txn table pk new_row;
+                  Ok ()))
 
   let update t txn table ~pk f = write t txn table ~pk (fun row -> Some (f row))
   let delete t txn table ~pk = write t txn table ~pk (fun _ -> None)

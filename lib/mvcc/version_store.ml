@@ -37,7 +37,7 @@ type 's engine = {
 
 (* What a writer finds at the item it wants to supersede: nothing left
    ([Not_found]), or the item with [contended] — an in-progress writer
-   holds its writer lock, so the conflict policy decides first — and
+   holds its writer lock, so the lock is tried first — and
    [stale] — a newer version than the visible one exists, so the write
    loses (first updater wins). *)
 type claim = Vanished | Claim of { contended : bool; stale : bool }

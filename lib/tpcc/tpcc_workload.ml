@@ -499,17 +499,12 @@ module Make (E : Mvcc.Engine.S) = struct
 
   let run_transaction st ~kind ~w ~rng =
     let now = Simclock.now (E.db st.eng).Mvcc.Db.clock in
-    try
-      match kind with
-      | New_order -> new_order st rng ~w ~now
-      | Payment -> payment st rng ~w ~now
-      | Order_status -> order_status st rng ~w ~now
-      | Delivery -> delivery st rng ~w ~now
-      | Stock_level -> stock_level st rng ~w ~now
-    with Contention.Wounded _ ->
-      (* a wound-wait / deadlock victim reaching commit was already
-         aborted by Db.commit; do not abort again *)
-      Conflict_abort
+    match kind with
+    | New_order -> new_order st rng ~w ~now
+    | Payment -> payment st rng ~w ~now
+    | Order_status -> order_status st rng ~w ~now
+    | Delivery -> delivery st rng ~w ~now
+    | Stock_level -> stock_level st rng ~w ~now
 
   (* ---------------- closed-loop driver ---------------- *)
 
@@ -644,7 +639,6 @@ module Make (E : Mvcc.Engine.S) = struct
                       acc.a_gave_up <- acc.a_gave_up + 1;
                       Conflict_abort)
             in
-            Contention.release contention;
             Mvcc.Db.tick db;
             let finished = Simclock.now clock in
             (* one span per transaction attempt chain, on the terminal's

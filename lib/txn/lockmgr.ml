@@ -1,13 +1,11 @@
-type outcome = Granted | Conflict of int | Deadlock
+type outcome = Granted | Conflict of int
 
 type t = {
   locks : (int * int, int) Hashtbl.t; (* (rel, key) -> owner xid *)
   owned : (int, (int * int) list) Hashtbl.t; (* xid -> keys held *)
-  waiting : (int, int) Hashtbl.t; (* xid -> owner it waits on *)
 }
 
-let create () =
-  { locks = Hashtbl.create 256; owned = Hashtbl.create 64; waiting = Hashtbl.create 16 }
+let create () = { locks = Hashtbl.create 256; owned = Hashtbl.create 64 }
 
 let try_acquire t ~xid ~rel ~key =
   let k = (rel, key) in
@@ -20,55 +18,16 @@ let try_acquire t ~xid ~rel ~key =
       Hashtbl.replace t.owned xid (k :: held);
       Granted
 
-(* Follow wait edges from [start]; a path back to [target] is a cycle. *)
-let reaches t ~start ~target =
-  let rec go xid steps =
-    if steps > 1024 then true (* defensive: treat pathological depth as a cycle *)
-    else
-      match Hashtbl.find_opt t.waiting xid with
-      | None -> false
-      | Some next -> next = target || go next (steps + 1)
-  in
-  go start 0
-
-let wait_on t ~xid ~owner =
-  if xid = owner then Deadlock
-  else if reaches t ~start:owner ~target:xid then Deadlock
-  else begin
-    Hashtbl.replace t.waiting xid owner;
-    Granted
-  end
-
-let stop_waiting t ~xid = Hashtbl.remove t.waiting xid
-
-let waits_for t ~xid = Hashtbl.find_opt t.waiting xid
-
-let waiters_of t ~owner =
-  Hashtbl.fold (fun xid o acc -> if o = owner then xid :: acc else acc) t.waiting []
-
 let release_all t ~xid =
   (match Hashtbl.find_opt t.owned xid with
   | Some keys -> List.iter (Hashtbl.remove t.locks) keys
   | None -> ());
-  Hashtbl.remove t.owned xid;
-  Hashtbl.remove t.waiting xid;
-  (* The released transaction can no longer block anyone: drop inbound
-     wait edges too, or they dangle at a dead owner and later cycle walks
-     traverse (and, past the depth cap, misreport) garbage. *)
-  let inbound =
-    Hashtbl.fold (fun w o acc -> if o = xid then w :: acc else acc) t.waiting []
-  in
-  List.iter (Hashtbl.remove t.waiting) inbound;
-  assert (waiters_of t ~owner:xid = [])
+  Hashtbl.remove t.owned xid
 
 (* Crash semantics: every in-flight transaction evaporated with the
-   process, so no lock or wait edge survives. *)
+   process, so no lock survives. *)
 let reset t =
   Hashtbl.reset t.locks;
-  Hashtbl.reset t.owned;
-  Hashtbl.reset t.waiting
+  Hashtbl.reset t.owned
 
 let holder t ~rel ~key = Hashtbl.find_opt t.locks (rel, key)
-
-let held_count t ~xid =
-  match Hashtbl.find_opt t.owned xid with Some l -> List.length l | None -> 0

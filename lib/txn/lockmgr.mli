@@ -1,42 +1,25 @@
-(** Exclusive data-item locks with a wait-for graph.
+(** Exclusive data-item writer locks.
 
     SIAS and SI both serialize writers per data item ("first-updater-wins",
     paper Algorithm 3 line 7): an updater takes an exclusive lock keyed by
-    (relation, item). A conflicting request either waits — recorded in the
-    wait-for graph so deadlocks are detectable — or the caller can adopt a
-    no-wait policy and abort. *)
+    (relation, item), and a request that finds the lock held aborts at
+    once. Nothing ever waits on a lock, so there is no wait-for graph and
+    no deadlock. *)
 
 type t
 
-type outcome =
-  | Granted
-  | Conflict of int  (** lock held by this transaction *)
-  | Deadlock  (** waiting would close a wait-for cycle *)
+type outcome = Granted | Conflict of int  (** lock held by this transaction *)
 
 val create : unit -> t
 
 val try_acquire : t -> xid:int -> rel:int -> key:int -> outcome
-(** Acquire or re-acquire (re-entrant for the same [xid]). On [Conflict]
-    no wait edge is recorded; use {!wait_on} to declare one. *)
-
-val wait_on : t -> xid:int -> owner:int -> outcome
-(** Record that [xid] blocks on [owner]. Returns [Deadlock] when the edge
-    closes a cycle (the edge is then not recorded), [Granted] otherwise. *)
-
-val stop_waiting : t -> xid:int -> unit
-
-val waits_for : t -> xid:int -> int option
-(** The owner [xid] currently waits on, if any. *)
+(** Acquire or re-acquire (re-entrant for the same [xid]). *)
 
 val release_all : t -> xid:int -> unit
-(** Drop all locks of a transaction (commit/abort), its own wait edge,
-    and every inbound edge of transactions that were waiting on it — a
-    finished transaction blocks nobody. *)
+(** Drop all locks of a transaction (commit/abort). *)
 
 val reset : t -> unit
-(** Drop every lock and wait edge (crash semantics: no in-flight
-    transaction survived the process). *)
+(** Drop every lock (crash semantics: no in-flight transaction survived
+    the process). *)
 
 val holder : t -> rel:int -> key:int -> int option
-val held_count : t -> xid:int -> int
-val waiters_of : t -> owner:int -> int list

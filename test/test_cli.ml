@@ -4,7 +4,6 @@
 
 open Cmdliner
 module X = Harness.Experiments
-module C = Sias_txn.Contention
 
 let parse term args =
   match Cmd.eval_value ~argv:(Array.of_list ("t" :: args)) (Cmd.v (Cmd.info "t") term) with
@@ -30,7 +29,6 @@ let test_defaults () =
       (X.default_setup ~engine:"sias" ~warehouses:20) with
       X.duration_s = 30.0;
       gc_interval_s = Some 10.0;
-      contention = { C.default_settings with C.policy = C.No_wait; max_inflight = None };
     }
     (setup []);
   let s = setup [ "-e"; "vectors"; "--faults=5"; "--commit-delay"; "0.002"; "--trace-out"; "t.json" ] in

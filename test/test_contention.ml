@@ -1,107 +1,71 @@
-(* Tests for the contention subsystem: conflict policies, the retry
-   orchestrator, admission control and the online SI checker — including
-   a randomized interleaved-transaction torture run over every engine and
-   policy. *)
+(* Tests for the contention subsystem: first-updater-wins without
+   waiting, the retry orchestrator, the admission gate and the online SI
+   checker — including a randomized interleaved-transaction torture run
+   over every engine. *)
 
 module C = Sias_txn.Contention
-module Lockmgr = Sias_txn.Lockmgr
 module Txn = Sias_txn.Txn
-module Snapshot = Sias_txn.Snapshot
 module Simclock = Sias_util.Simclock
 module Value = Mvcc.Value
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let make ?settings () =
+let make () =
   let clock = Simclock.create () in
-  let lockmgr = Lockmgr.create () in
-  (clock, lockmgr, C.create ?settings ~clock ~lockmgr ())
+  (clock, C.create ~clock ())
 
-let with_policy policy = { C.default_settings with C.policy }
+let engines : (module Mvcc.Engine.S) list =
+  [ (module Mvcc.Si_engine); (module Mvcc.Si_cv_engine); (module Mvcc.Sias_engine);
+    (module Mvcc.Sias_vector) ]
 
-(* ---------------- conflict policies ---------------- *)
+let set v r =
+  let r = Array.copy r in
+  r.(1) <- Value.Int v;
+  r
 
+(* ---------------- first-updater-wins ---------------- *)
+
+(* The second writer of an item aborts at once, whether the first is
+   still running (its writer lock is held) or has already committed (the
+   visible version is stale); no simulated time is spent waiting. *)
 let test_no_wait () =
-  let clock, _, c = make ~settings:(with_policy C.No_wait) () in
-  check "first granted" true (C.acquire c ~xid:1 ~rel:0 ~key:1 = C.Granted);
-  check "conflict aborts at once" true (C.acquire c ~xid:2 ~rel:0 ~key:1 = C.Abort_self);
-  Alcotest.(check (float 0.0)) "no waiting charged" 0.0 (Simclock.now clock);
-  checki "conflict counted" 1 (C.stats c).C.conflicts;
-  checki "no waits" 0 (C.stats c).C.waits
-
-let test_wait_die () =
-  let clock, _, c = make ~settings:(with_policy C.Wait_die) () in
-  (* younger owner (xid 5), older requester (xid 2): older waits *)
-  check "owner" true (C.acquire c ~xid:5 ~rel:0 ~key:1 = C.Granted);
-  check "older waits, then aborts" true (C.acquire c ~xid:2 ~rel:0 ~key:1 = C.Abort_self);
-  checki "one wait" 1 (C.stats c).C.waits;
-  checki "one timeout" 1 (C.stats c).C.wait_timeouts;
-  check "clock charged" true (Simclock.now clock >= C.default_settings.C.max_wait_s);
-  checki "no die yet" 0 (C.stats c).C.dies;
-  (* younger requester (xid 9) dies immediately, no clock charge *)
-  let before = Simclock.now clock in
-  check "younger dies" true (C.acquire c ~xid:9 ~rel:0 ~key:1 = C.Abort_self);
-  checki "die counted" 1 (C.stats c).C.dies;
-  Alcotest.(check (float 0.0)) "die is instant" before (Simclock.now clock)
-
-let test_wound_wait () =
-  let _, lm, c = make ~settings:(with_policy C.Wound_wait) () in
-  (* younger owner (xid 5); older requester (xid 2) wounds it *)
-  check "owner" true (C.acquire c ~xid:5 ~rel:0 ~key:1 = C.Granted);
-  check "older still blocked this round" true
-    (C.acquire c ~xid:2 ~rel:0 ~key:1 = C.Abort_self);
-  checki "wound counted" 1 (C.stats c).C.wounds;
-  check "owner doomed" true (C.is_doomed c ~xid:5);
-  (* the doomed owner's next lock request fails as a victim abort *)
-  check "victim aborts on next acquire" true
-    (C.acquire c ~xid:5 ~rel:0 ~key:2 = C.Abort_self);
-  checki "victim abort counted" 1 (C.stats c).C.victim_aborts;
-  (* once the victim is gone its locks free up and the doom mark clears *)
-  Lockmgr.release_all lm ~xid:5;
-  C.finished c ~xid:5;
-  check "doom cleared" false (C.is_doomed c ~xid:5);
-  check "older retry wins" true (C.acquire c ~xid:2 ~rel:0 ~key:1 = C.Granted);
-  (* an older owner is never wounded by a younger requester *)
-  check "younger just waits" true (C.acquire c ~xid:9 ~rel:0 ~key:1 = C.Abort_self);
-  check "older owner not doomed" false (C.is_doomed c ~xid:2);
-  checki "still one wound" 1 (C.stats c).C.wounds
-
-let test_detect_self_victim () =
-  let _, _, c = make ~settings:(with_policy C.Detect) () in
-  check "t1 holds k1" true (C.acquire c ~xid:1 ~rel:0 ~key:1 = C.Granted);
-  check "t2 holds k2" true (C.acquire c ~xid:2 ~rel:0 ~key:2 = C.Granted);
-  (* t1 stalls on k2; its wait-for edge persists after the timeout *)
-  check "t1 blocked on k2" true (C.acquire c ~xid:1 ~rel:0 ~key:2 = C.Abort_self);
-  (* t2 requesting k1 closes the cycle; the youngest member (t2 itself)
-     is the victim *)
-  check "t2 self-victim" true (C.acquire c ~xid:2 ~rel:0 ~key:1 = C.Abort_self);
-  checki "deadlock counted" 1 (C.stats c).C.deadlocks;
-  check "self-victim not doomed" false (C.is_doomed c ~xid:2)
-
-let test_detect_dooms_youngest_peer () =
-  let _, _, c = make ~settings:(with_policy C.Detect) () in
-  check "t1 holds k1" true (C.acquire c ~xid:1 ~rel:0 ~key:1 = C.Granted);
-  check "t2 holds k2" true (C.acquire c ~xid:2 ~rel:0 ~key:2 = C.Granted);
-  (* t2 stalls on k1 first, leaving the 2 -> 1 edge in the graph *)
-  check "t2 blocked on k1" true (C.acquire c ~xid:2 ~rel:0 ~key:1 = C.Abort_self);
-  (* t1 requesting k2 closes the cycle; t2 is the youngest and is doomed *)
-  check "t1 still blocked (owner lives)" true
-    (C.acquire c ~xid:1 ~rel:0 ~key:2 = C.Abort_self);
-  checki "deadlock counted" 1 (C.stats c).C.deadlocks;
-  check "youngest peer doomed" true (C.is_doomed c ~xid:2);
-  check "older not doomed" false (C.is_doomed c ~xid:1)
-
-let test_doomed_acquire_counts_victim () =
-  let _, _, c = make ~settings:(with_policy C.No_wait) () in
-  check "granted" true (C.acquire c ~xid:3 ~rel:0 ~key:7 = C.Granted);
-  C.finished c ~xid:3;
-  checki "no victim aborts" 0 (C.stats c).C.victim_aborts
+  List.iter
+    (fun (module E : Mvcc.Engine.S) ->
+      let db = Mvcc.Db.create ~buffer_pages:128 () in
+      let ck = Mvcc.Sichecker.attach (Mvcc.Db.bus db) in
+      let eng = E.create db in
+      let table = E.create_table eng ~name:"t" ~pk_col:0 () in
+      let boot = E.begin_txn eng in
+      Result.get_ok (E.insert eng boot table [| Value.Int 1; Value.Int 0 |]);
+      E.commit eng boot |> Result.get_ok;
+      let first = E.begin_txn eng in
+      let second = E.begin_txn eng in
+      Result.get_ok (E.update eng first table ~pk:1 (set 10));
+      let before = Simclock.now db.Mvcc.Db.clock in
+      check (E.name ^ ": held lock aborts") true
+        (E.update eng second table ~pk:1 (set 20) = Error Mvcc.Engine.Write_conflict);
+      check (E.name ^ ": no waiting charged") true
+        (Simclock.now db.Mvcc.Db.clock -. before < 0.001);
+      E.commit eng first |> Result.get_ok;
+      check (E.name ^ ": stale version aborts") true
+        (E.update eng second table ~pk:1 (set 30) = Error Mvcc.Engine.Write_conflict);
+      (match E.read eng second table ~pk:1 with
+      | Some r -> checki (E.name ^ ": loser keeps its snapshot") 0 (Value.int r.(1))
+      | None -> Alcotest.fail "row lost");
+      E.abort eng second;
+      let final = E.begin_txn eng in
+      (match E.read eng final table ~pk:1 with
+      | Some r -> checki (E.name ^ ": first updater's write survives") 10 (Value.int r.(1))
+      | None -> Alcotest.fail "row lost");
+      E.commit eng final |> Result.get_ok;
+      checki (E.name ^ ": checker silent") 0 (Mvcc.Sichecker.violation_count ck))
+    engines
 
 (* ---------------- retry orchestrator ---------------- *)
 
 let test_retry_completes_first_try () =
-  let clock, _, c = make () in
+  let clock, c = make () in
   let cfg = C.retry_config () in
   (match C.run_with_retries c ~cfg ~retryable:(fun _ -> false) ~f:(fun ~attempt -> attempt) with
   | C.Completed (v, n) ->
@@ -111,7 +75,7 @@ let test_retry_completes_first_try () =
   Alcotest.(check (float 0.0)) "no backoff charged" 0.0 (Simclock.now clock)
 
 let test_retry_backs_off_then_completes () =
-  let clock, _, c = make () in
+  let clock, c = make () in
   let cfg = C.retry_config ~max_attempts:6 ~base_backoff_s:0.002 () in
   (match
      C.run_with_retries c ~cfg
@@ -128,7 +92,7 @@ let test_retry_backs_off_then_completes () =
   check "capped below maxima" true (Simclock.now clock < 0.006)
 
 let test_retry_attempts_exhausted () =
-  let _, _, c = make () in
+  let _, c = make () in
   let cfg = C.retry_config ~max_attempts:4 () in
   (match C.run_with_retries c ~cfg ~retryable:(fun _ -> true) ~f:(fun ~attempt:_ -> ()) with
   | C.Gave_up (C.Attempts_exhausted, n) -> checki "all attempts used" 4 n
@@ -137,7 +101,7 @@ let test_retry_attempts_exhausted () =
   checki "three resubmissions" 3 (C.stats c).C.retries
 
 let test_retry_deadline () =
-  let _, _, c = make () in
+  let _, c = make () in
   (* the first backoff (>= 0.5 * 0.1s) already breaks a 1 ms deadline *)
   let cfg = C.retry_config ~max_attempts:10 ~base_backoff_s:0.1 ~deadline_s:0.001 () in
   (match C.run_with_retries c ~cfg ~retryable:(fun _ -> true) ~f:(fun ~attempt:_ -> ()) with
@@ -147,51 +111,28 @@ let test_retry_deadline () =
 
 let test_retry_jitter_deterministic () =
   let run () =
-    let clock, _, c = make () in
+    let clock, c = make () in
     let cfg = C.retry_config ~max_attempts:5 () in
     ignore (C.run_with_retries c ~cfg ~retryable:(fun _ -> true) ~f:(fun ~attempt:_ -> ()));
     Simclock.now clock
   in
   Alcotest.(check (float 0.0)) "same seed, same backoff" (run ()) (run ())
 
-(* ---------------- admission control ---------------- *)
+(* ---------------- admission gate ---------------- *)
 
+(* No cap: every request is admitted until WAL backpressure turns on,
+   which sheds at once; neither costs simulated time. *)
 let test_admission_unlimited () =
-  let clock, _, c = make () in
+  let clock, c = make () in
   for _ = 1 to 100 do
     check "always admitted" true (C.admit c = C.Admitted)
   done;
-  Alcotest.(check (float 0.0)) "free" 0.0 (Simclock.now clock)
-
-let test_admission_cap_and_queue () =
-  let clock, _, c =
-    make
-      ~settings:
-        { C.default_settings with C.max_inflight = Some 2; queue_capacity = 4; queue_timeout_s = 0.1 }
-      ()
-  in
-  check "1st admitted" true (C.admit c = C.Admitted);
-  check "2nd admitted" true (C.admit c = C.Admitted);
-  checki "two in flight" 2 (C.inflight c);
-  (* over the cap: queue, pay the timeout, no slot frees -> shed *)
-  check "3rd shed after queueing" true (C.admit c = C.Shed);
-  checki "queued counted" 1 (C.stats c).C.queued;
+  C.set_backpressure c true;
+  check "shed under backpressure" true (C.admit c = C.Shed);
   checki "shed counted" 1 (C.stats c).C.shed;
-  check "queue timeout charged" true (Simclock.now clock >= 0.1);
-  C.release c;
-  checki "release frees a slot" 1 (C.inflight c);
-  check "next request admitted" true (C.admit c = C.Admitted);
-  checki "admissions counted" 3 (C.stats c).C.admitted
-
-let test_admission_queue_full_sheds_instantly () =
-  let clock, _, c =
-    make
-      ~settings:{ C.default_settings with C.max_inflight = Some 1; queue_capacity = 0 }
-      ()
-  in
-  check "1st admitted" true (C.admit c = C.Admitted);
-  check "2nd shed" true (C.admit c = C.Shed);
-  Alcotest.(check (float 0.0)) "no queue charge" 0.0 (Simclock.now clock)
+  C.set_backpressure c false;
+  check "admitted once released" true (C.admit c = C.Admitted);
+  Alcotest.(check (float 0.0)) "free" 0.0 (Simclock.now clock)
 
 (* ---------------- the SI checker, driven directly ---------------- *)
 
@@ -272,53 +213,10 @@ let test_checker_catches_fcw () =
   (* disjoint items stay silent *)
   checki "commits checked" 2 (Sichecker.commits_checked ck)
 
-(* ---------------- engine integration: wound at commit ---------------- *)
-
-let test_wound_wait_through_engine () =
-  let module E = Mvcc.Si_engine in
-  let db = Mvcc.Db.create ~buffer_pages:128 ~contention:(with_policy C.Wound_wait) () in
-  let ck = Mvcc.Sichecker.attach (Mvcc.Db.bus db) in
-  let eng = E.create db in
-  let table = E.create_table eng ~name:"t" ~pk_col:0 () in
-  let setup = E.begin_txn eng in
-  Result.get_ok (E.insert eng setup table [| Value.Int 1; Value.Int 0 |]);
-  E.commit eng setup |> Result.get_ok;
-  let older = E.begin_txn eng in
-  let younger = E.begin_txn eng in
-  (* the younger transaction grabs the row's writer lock *)
-  Result.get_ok
-    (E.update eng younger table ~pk:1 (fun r ->
-         let r = Array.copy r in
-         r.(1) <- Value.Int 100;
-         r));
-  (* the older transaction conflicts and wounds it *)
-  check "older sees a conflict this round" true
-    (E.update eng older table ~pk:1 (fun r -> r) = Error Mvcc.Engine.Write_conflict);
-  check "younger doomed" true (C.is_doomed db.Mvcc.Db.contention ~xid:younger.Txn.xid);
-  (* the victim reaching commit is aborted and told so *)
-  (try
-     E.commit eng younger |> Result.get_ok;
-     Alcotest.fail "wounded transaction must not commit"
-   with C.Wounded x -> checki "victim identified" younger.Txn.xid x);
-  check "victim really aborted" true (Txn.status db.Mvcc.Db.txnmgr younger.Txn.xid = Txn.Aborted);
-  (* with the victim gone the older transaction goes through *)
-  Result.get_ok
-    (E.update eng older table ~pk:1 (fun r ->
-         let r = Array.copy r in
-         r.(1) <- Value.Int 7;
-         r));
-  E.commit eng older |> Result.get_ok;
-  let final = E.begin_txn eng in
-  (match E.read eng final table ~pk:1 with
-  | Some r -> checki "older transaction's write survives" 7 (Value.int r.(1))
-  | None -> Alcotest.fail "row lost");
-  E.commit eng final |> Result.get_ok;
-  checki "checker silent throughout" 0 (Sichecker.violation_count ck)
-
 (* ---------------- randomized interleaved torture ---------------- *)
 
 (* Random interleavings of three transaction slots over eight keys, for
-   every engine and policy: the run must terminate, committed state must
+   every engine: the run must terminate, committed state must
    follow the per-slot pending-write model, reads must be snapshot
    consistent, and the online checker must stay silent. *)
 module Torture (E : Mvcc.Engine.S) = struct
@@ -328,8 +226,8 @@ module Torture (E : Mvcc.Engine.S) = struct
     pending : (int, int) Hashtbl.t;  (* key -> value written by this txn *)
   }
 
-  let run ~policy ops =
-    let db = Mvcc.Db.create ~buffer_pages:128 ~contention:(with_policy policy) () in
+  let run ops =
+    let db = Mvcc.Db.create ~buffer_pages:128 () in
     let ck = Mvcc.Sichecker.attach (Mvcc.Db.bus db) in
     let eng = E.create db in
     let table = E.create_table eng ~name:"t" ~pk_col:0 () in
@@ -363,10 +261,8 @@ module Torture (E : Mvcc.Engine.S) = struct
         let sl = ensure s in
         if op = 0 then begin
           (* commit: apply the model only if the engine committed *)
-          (try
-             E.commit eng sl.txn |> Result.get_ok;
-             Hashtbl.iter (fun k v -> committed.(k) <- v) sl.pending
-           with C.Wounded _ -> ());
+          E.commit eng sl.txn |> Result.get_ok;
+          Hashtbl.iter (fun k v -> committed.(k) <- v) sl.pending;
           finish s
         end
         else if op = 1 then begin
@@ -418,7 +314,7 @@ module Torture (E : Mvcc.Engine.S) = struct
     QCheck.Test.make ~name ~count:15
       QCheck.(
         list_of_size Gen.(int_range 20 80) (pair (int_bound 2) (int_bound 15)))
-      (fun ops -> List.for_all (fun policy -> run ~policy ops) C.all_policies)
+      run
 end
 
 module Torture_si = Torture (Mvcc.Si_engine)
@@ -429,27 +325,17 @@ module Torture_siasv = Torture (Mvcc.Sias_vector)
 let suite =
   [
     Alcotest.test_case "no-wait aborts at once" `Quick test_no_wait;
-    Alcotest.test_case "wait-die: older waits, younger dies" `Quick test_wait_die;
-    Alcotest.test_case "wound-wait dooms the younger owner" `Quick test_wound_wait;
-    Alcotest.test_case "detect: youngest self-victim" `Quick test_detect_self_victim;
-    Alcotest.test_case "detect dooms youngest peer" `Quick test_detect_dooms_youngest_peer;
-    Alcotest.test_case "clean finish leaves no doom" `Quick test_doomed_acquire_counts_victim;
     Alcotest.test_case "retry: completes first try" `Quick test_retry_completes_first_try;
     Alcotest.test_case "retry: backoff then success" `Quick test_retry_backs_off_then_completes;
     Alcotest.test_case "retry: attempts exhausted" `Quick test_retry_attempts_exhausted;
     Alcotest.test_case "retry: deadline exceeded" `Quick test_retry_deadline;
     Alcotest.test_case "retry: deterministic jitter" `Quick test_retry_jitter_deterministic;
     Alcotest.test_case "admission: unlimited is free" `Quick test_admission_unlimited;
-    Alcotest.test_case "admission: cap, queue, shed, release" `Quick
-      test_admission_cap_and_queue;
-    Alcotest.test_case "admission: full queue sheds instantly" `Quick
-      test_admission_queue_full_sheds_instantly;
     Alcotest.test_case "checker: clean histories stay silent" `Quick
       test_checker_clean_history;
     Alcotest.test_case "checker: stale and future reads" `Quick
       test_checker_catches_stale_and_future_reads;
     Alcotest.test_case "checker: first-committer-wins" `Quick test_checker_catches_fcw;
-    Alcotest.test_case "wound-wait through the engine" `Quick test_wound_wait_through_engine;
     QCheck_alcotest.to_alcotest (Torture_si.qcheck_test "SI: interleaved torture");
     QCheck_alcotest.to_alcotest (Torture_sicv.qcheck_test "SI-CV: interleaved torture");
     QCheck_alcotest.to_alcotest (Torture_sias.qcheck_test "SIAS: interleaved torture");

@@ -93,77 +93,10 @@ let test_locks_basic () =
   check "other key free" true (Lockmgr.try_acquire lm ~xid:2 ~rel:0 ~key:11 = Lockmgr.Granted);
   check "other rel free" true (Lockmgr.try_acquire lm ~xid:2 ~rel:1 ~key:10 = Lockmgr.Granted);
   Alcotest.(check (option int)) "holder" (Some 1) (Lockmgr.holder lm ~rel:0 ~key:10);
-  checki "held count" 1 (Lockmgr.held_count lm ~xid:1);
+  Alcotest.(check (option int)) "other key's holder" (Some 2) (Lockmgr.holder lm ~rel:0 ~key:11);
   Lockmgr.release_all lm ~xid:1;
   check "freed after release" true (Lockmgr.try_acquire lm ~xid:2 ~rel:0 ~key:10 = Lockmgr.Granted)
 
-let test_locks_deadlock_detection () =
-  let lm = Lockmgr.create () in
-  ignore (Lockmgr.try_acquire lm ~xid:1 ~rel:0 ~key:1);
-  ignore (Lockmgr.try_acquire lm ~xid:2 ~rel:0 ~key:2);
-  (* 1 waits for 2 *)
-  check "wait ok" true (Lockmgr.wait_on lm ~xid:1 ~owner:2 = Lockmgr.Granted);
-  (* 2 waiting for 1 would close the cycle *)
-  check "deadlock detected" true (Lockmgr.wait_on lm ~xid:2 ~owner:1 = Lockmgr.Deadlock);
-  (* breaking the first wait clears it *)
-  Lockmgr.stop_waiting lm ~xid:1;
-  check "no deadlock after clear" true (Lockmgr.wait_on lm ~xid:2 ~owner:1 = Lockmgr.Granted)
-
-let test_locks_deadlock_three_party () =
-  let lm = Lockmgr.create () in
-  check "1 waits 2" true (Lockmgr.wait_on lm ~xid:1 ~owner:2 = Lockmgr.Granted);
-  check "2 waits 3" true (Lockmgr.wait_on lm ~xid:2 ~owner:3 = Lockmgr.Granted);
-  check "3 waits 1 closes cycle" true (Lockmgr.wait_on lm ~xid:3 ~owner:1 = Lockmgr.Deadlock);
-  Alcotest.(check (list int)) "waiters of 3" [ 2 ] (Lockmgr.waiters_of lm ~owner:3)
-
-let test_locks_self_wait () =
-  let lm = Lockmgr.create () in
-  check "self wait is deadlock" true (Lockmgr.wait_on lm ~xid:1 ~owner:1 = Lockmgr.Deadlock)
-
-let test_locks_long_chain () =
-  let lm = Lockmgr.create () in
-  (* 1 -> 2 -> 3 -> 4; closing 4 -> 1 walks the whole chain *)
-  check "1 waits 2" true (Lockmgr.wait_on lm ~xid:1 ~owner:2 = Lockmgr.Granted);
-  check "2 waits 3" true (Lockmgr.wait_on lm ~xid:2 ~owner:3 = Lockmgr.Granted);
-  check "3 waits 4" true (Lockmgr.wait_on lm ~xid:3 ~owner:4 = Lockmgr.Granted);
-  check "4 waits 1 closes cycle" true (Lockmgr.wait_on lm ~xid:4 ~owner:1 = Lockmgr.Deadlock);
-  (* chain is queryable edge by edge *)
-  Alcotest.(check (option int)) "1 waits for 2" (Some 2) (Lockmgr.waits_for lm ~xid:1);
-  Alcotest.(check (option int)) "3 waits for 4" (Some 4) (Lockmgr.waits_for lm ~xid:3);
-  Alcotest.(check (option int)) "4 waits for nobody" None (Lockmgr.waits_for lm ~xid:4);
-  (* a cross edge that does not close a cycle is fine *)
-  check "4 waits 5 ok" true (Lockmgr.wait_on lm ~xid:4 ~owner:5 = Lockmgr.Granted)
-
-let test_locks_release_clears_stale_edges () =
-  let lm = Lockmgr.create () in
-  ignore (Lockmgr.try_acquire lm ~xid:1 ~rel:0 ~key:10);
-  (* 2 and 3 both wait on 1 *)
-  check "2 waits 1" true (Lockmgr.wait_on lm ~xid:2 ~owner:1 = Lockmgr.Granted);
-  check "3 waits 1" true (Lockmgr.wait_on lm ~xid:3 ~owner:1 = Lockmgr.Granted);
-  Alcotest.(check (list int)) "both inbound" [ 2; 3 ]
-    (List.sort compare (Lockmgr.waiters_of lm ~owner:1));
-  (* owner finishes: its locks AND the edges pointing at it must go, or
-     later transactions reusing paths through xid 1 see phantom cycles *)
-  Lockmgr.release_all lm ~xid:1;
-  Alcotest.(check (list int)) "no stale inbound edges" [] (Lockmgr.waiters_of lm ~owner:1);
-  Alcotest.(check (option int)) "2 no longer waits" None (Lockmgr.waits_for lm ~xid:2);
-  Alcotest.(check (option int)) "3 no longer waits" None (Lockmgr.waits_for lm ~xid:3);
-  (* with the stale 2 -> 1 edge gone, 1's xid can be waited on afresh *)
-  check "fresh wait ok" true (Lockmgr.wait_on lm ~xid:1 ~owner:2 = Lockmgr.Granted)
-
-let test_locks_release_under_own_wait () =
-  let lm = Lockmgr.create () in
-  ignore (Lockmgr.try_acquire lm ~xid:1 ~rel:0 ~key:1);
-  ignore (Lockmgr.try_acquire lm ~xid:2 ~rel:0 ~key:2);
-  check "1 waits 2" true (Lockmgr.wait_on lm ~xid:1 ~owner:2 = Lockmgr.Granted);
-  (* 1 aborts while still waiting: outbound edge and locks both vanish *)
-  Lockmgr.release_all lm ~xid:1;
-  Alcotest.(check (option int)) "own edge cleared" None (Lockmgr.waits_for lm ~xid:1);
-  check "lock freed" true (Lockmgr.try_acquire lm ~xid:3 ~rel:0 ~key:1 = Lockmgr.Granted);
-  check "2 -> 1 would not deadlock" true (Lockmgr.wait_on lm ~xid:2 ~owner:1 = Lockmgr.Granted)
-
-(* Property: after any interleaving of begin/commit/abort, every finished
-   transaction has a final status and actives match. *)
 let qcheck_txn_state_machine =
   QCheck.Test.make ~name:"txn manager state machine" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 60) (int_bound 2))
@@ -207,12 +140,5 @@ let suite =
     Alcotest.test_case "gc horizon" `Quick test_horizon;
     Alcotest.test_case "clog recovery" `Quick test_recovery_clog;
     Alcotest.test_case "locks basic" `Quick test_locks_basic;
-    Alcotest.test_case "deadlock detection" `Quick test_locks_deadlock_detection;
-    Alcotest.test_case "three-party deadlock" `Quick test_locks_deadlock_three_party;
-    Alcotest.test_case "self wait" `Quick test_locks_self_wait;
-    Alcotest.test_case "long wait chain" `Quick test_locks_long_chain;
-    Alcotest.test_case "release clears stale inbound edges" `Quick
-      test_locks_release_clears_stale_edges;
-    Alcotest.test_case "release while waiting" `Quick test_locks_release_under_own_wait;
     QCheck_alcotest.to_alcotest qcheck_txn_state_machine;
   ]

@@ -194,7 +194,8 @@ let chaos_cmd =
   in
   let budget_arg =
     Arg.(
-      value & opt int 60
+      value
+      & opt (Cli.at_least 1 int) 60
       & info [ "budget" ] ~docv:"N"
           ~doc:"Schedule budget per engine/mode (sampled; see $(b,--full)).")
   in

@@ -206,7 +206,10 @@ let setup =
       & opt (enum [ ("t1", T1); ("t2", T2) ]) T2
       & info [ "flush" ] ~doc:"t1 (bgwriter) or t2 (checkpoint).")
   and+ gc =
-    Arg.(value & opt (some float) (Some 10.0) & info [ "gc" ] ~doc:"GC interval (sim s); 0 disables.")
+    Arg.(
+      value
+      & opt (at_least 0.0 float) 10.0
+      & info [ "gc" ] ~doc:"GC interval (sim s); 0 disables.")
   and+ scale_div =
     Arg.(
       value
@@ -274,7 +277,7 @@ let setup =
     duration_s;
     buffer_pages;
     flush;
-    gc_interval_s = (match gc with Some g when g > 0.0 -> Some g | _ -> None);
+    gc_interval_s = (if gc > 0.0 then Some gc else None);
     scale_div;
     seed;
     fault_seed = o.fault_seed;

@@ -133,14 +133,20 @@ let scan t txn table f =
     match visible t txn table vid with Some hit -> f (row hit) | None -> ()
   done
 
+(* What the mark walk finds at a chain link: a version some snapshot may
+   still need, a dead tail (everything below is dead too), a dead item
+   with the pk of its entrypoint, or a slot reused by another data item. *)
+type link = Live of Tuple.Sias.header | Dead_tail | Dead_item of int | Foreign
+
 (* Mark phase: walk every chain from its entrypoint and keep the versions
    some present or future snapshot may still need; a chain dead in its
    entirety (committed tombstone below the horizon) loses its VID_map and
-   pk entries. GC reads go through the vacuum ring. *)
+   pk entries. GC reads go through the vacuum ring and judge each version
+   where it lies; only a dead item's pk is decoded. *)
 let mark t table =
   let mgr = t.db.Db.txnmgr in
   let horizon = Txn.horizon mgr in
-  let live = Hashtbl.create 1024 in
+  let live = Liveset.create ~blocks:(Heapfile.nblocks table.heap) in
   for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
     match Vidmap.get table.vidmap ~vid with
     | None -> ()
@@ -148,55 +154,53 @@ let mark t table =
         if locked t table vid then begin
           (* an active writer owns this item: its undo record points at
              the pre-update entrypoint, so keep everything reachable *)
+          let own b o _ =
+            let h = Tuple.Sias.header_at b o in
+            if h.vid = vid then Live h else Foreign
+          in
           let rec keep tid =
             if not (Tid.is_invalid tid) then
-              match Heapfile.read_ro table.heap tid with
-              | Some item when (Tuple.Sias.header item).vid = vid ->
-                  Hashtbl.replace live (Tid.to_int tid) vid;
-                  keep (Tuple.Sias.header item).pred
+              match Heapfile.with_item_ro table.heap tid own with
+              | Some (Live h) ->
+                  Liveset.add live tid;
+                  keep h.pred
               | _ -> ()
           in
           keep entry
         end
         else begin
+          let judge ~succ_committed ~any_live b o _ =
+            let h = Tuple.Sias.header_at b o in
+            if h.vid <> vid then Foreign
+            else if
+              Visibility.sias_dead_for_all mgr ~horizon ~create:h.create
+                ~successor_create:succ_committed
+              || h.tombstone && h.create < horizon && Txn.status mgr h.create = Txn.Committed
+            then if any_live then Dead_tail else Dead_item (pk_of table (Tuple.Sias.row_at b o))
+            else Live h
+          in
           let rec walk tid ~succ_committed ~any_live =
             if not (Tid.is_invalid tid) then
-              match Heapfile.read_ro table.heap tid with
-              | None -> ()
-              | Some item ->
-                  let h = Tuple.Sias.header item in
-                  if h.vid = vid then
-                    if
-                      Visibility.sias_dead_for_all mgr ~horizon ~create:h.create
-                        ~successor_create:succ_committed
-                      || h.tombstone && h.create < horizon
-                         && Txn.status mgr h.create = Txn.Committed
-                    then begin
-                      (* everything below is dead too *)
-                      if not any_live then begin
-                        Vidmap.clear table.vidmap ~vid;
-                        ignore
-                          (Index.delete table.pk_index
-                             ~key:(pk_of table (Tuple.Sias.row item))
-                             ~payload:vid)
-                      end
-                    end
-                    else begin
-                      Hashtbl.replace live (Tid.to_int tid) vid;
-                      let succ_committed =
-                        if Txn.status mgr h.create = Txn.Committed then Some h.create
-                        else succ_committed
-                      in
-                      walk h.pred ~succ_committed ~any_live:true
-                    end
+              match Heapfile.with_item_ro table.heap tid (judge ~succ_committed ~any_live) with
+              | None | Some (Foreign | Dead_tail) -> ()
+              | Some (Dead_item pk) ->
+                  Vidmap.clear table.vidmap ~vid;
+                  ignore (Index.delete table.pk_index ~key:pk ~payload:vid)
+              | Some (Live h) ->
+                  Liveset.add live tid;
+                  let succ_committed =
+                    if Txn.status mgr h.create = Txn.Committed then Some h.create
+                    else succ_committed
+                  in
+                  walk h.pred ~succ_committed ~any_live:true
           in
           walk entry ~succ_committed:None ~any_live:false
         end
   done;
   Some live
 
-let item_vid item = (Tuple.Sias.header item).vid
-let older item = (Tuple.Sias.header item).pred
+let item_vid b o = (Tuple.Sias.header_at b o).vid
+let older b o = (Tuple.Sias.header_at b o).pred
 let set_older = Tuple.Sias.patch_pred
 
 let stamps item =

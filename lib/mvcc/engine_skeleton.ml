@@ -4,6 +4,7 @@
 
 open Version_store
 module Bufpool = Sias_storage.Bufpool
+module Page = Sias_storage.Page
 module Lockmgr = Sias_txn.Lockmgr
 
 module type VERSION_STORE = S
@@ -213,12 +214,14 @@ module Make (V : VERSION_STORE) = struct
   (* ---------------- garbage collection ----------------
 
      The store's mark phase either reclaims in place and returns [None],
-     or returns the live heap items (TID -> VID) for the sweep: dead slots
-     on pages not yet on stable storage are deleted (marking there is
-     free — the page will be written once anyway); a sealed page whose
+     or returns the live heap items (a slot bitmap) for the sweep: dead
+     slots on pages not yet on stable storage are deleted (marking there
+     is free — the page will be written once anyway); a sealed page whose
      live fraction is below the threshold has its live items re-appended
      at the tail, the single incoming reference of each repaired, and the
-     whole page discarded with a TRIM — never a small in-place write. *)
+     whole page discarded with a TRIM — never a small in-place write.
+     Mark and sweep judge items in the pinned page and copy only what
+     leaves it; the order of their pool accesses is part of the model. *)
 
   let fill_threshold = 0.55
 
@@ -228,10 +231,10 @@ module Make (V : VERSION_STORE) = struct
     match Heapfile.read_ro table.heap old_tid with
     | None -> ()
     | Some item ->
-        let vid = V.item_vid item in
+        let vid = V.item_vid item 0 in
         let new_tid = append_item t table ~xid:0 item in
-        Hashtbl.remove live (Tid.to_int old_tid);
-        Hashtbl.replace live (Tid.to_int new_tid) vid;
+        Liveset.remove live old_tid;
+        Liveset.add live new_tid;
         (match Vidmap.get table.vidmap ~vid with
         | Some entry when Tid.equal entry old_tid -> Vidmap.set table.vidmap ~vid new_tid
         | Some entry ->
@@ -240,7 +243,7 @@ module Make (V : VERSION_STORE) = struct
                 match Heapfile.read_ro table.heap tid with
                 | None -> ()
                 | Some newer ->
-                    let older = V.older newer in
+                    let older = V.older newer 0 in
                     if Tid.equal older old_tid then begin
                       V.set_older newer new_tid;
                       if not (Heapfile.update_in_place table.heap tid newer) then
@@ -260,39 +263,46 @@ module Make (V : VERSION_STORE) = struct
     let page_size = Bufpool.page_size t.db.Db.pool in
     for block = 0 to nblocks - 1 do
       if not (Heapfile.discarded table.heap block) then begin
-        let slots = ref [] in
+        let sealed = Heapfile.sealed table.heap block in
+        (* the page's items split by the live set, each list in descending
+           slot order; on a sealed page also the live bytes, and whether
+           no writer holds a live item *)
+        let live_slots = ref [] and dead_slots = ref [] in
+        let live_bytes = ref 0 and movable = ref true in
         Bufpool.with_page_ro t.db.Db.pool ~rel:table.rel ~block (fun page ->
-            Sias_storage.Page.iter page (fun slot item ->
-                slots := (Tid.make ~block ~slot, item) :: !slots));
-        let live_slots, dead_slots =
-          List.partition (fun (tid, _) -> Hashtbl.mem live (Tid.to_int tid)) !slots
-        in
-        if !slots <> [] then
-          if not (Heapfile.sealed table.heap block) then
-            List.iter
-              (fun (tid, _) ->
-                Heapfile.delete table.heap tid;
-                Walcodec.log_heap t.db ~xid:0 ~rel:table.rel ~kind:Wal.Delete ~tid
-                  ~item:Bytes.empty;
-                t.swept <- t.swept + 1)
-              dead_slots
-          else begin
-            let live_bytes =
-              List.fold_left (fun acc (_, item) -> acc + Bytes.length item) 0 live_slots
-            in
-            let movable =
-              List.for_all (fun (_, item) -> not (locked t table (V.item_vid item))) live_slots
-            in
-            if movable && block <> tail
-               && float_of_int live_bytes /. float_of_int page_size < fill_threshold
-            then begin
-              List.iter (fun (tid, _) -> relocate t table live tid) live_slots;
-              t.swept <- t.swept + List.length dead_slots;
-              Walcodec.log_trim t.db ~rel:table.rel ~block (fun () ->
-                  Heapfile.discard_block table.heap block);
-              t.reclaimed <- t.reclaimed + 1
-            end
-          end
+            let buf = Page.buffer page in
+            for slot = 0 to Page.slot_count page - 1 do
+              let off = Page.item_offset page slot in
+              if off >= 0 then begin
+                let tid = Tid.make ~block ~slot in
+                if Liveset.mem live tid then begin
+                  live_slots := tid :: !live_slots;
+                  if sealed then begin
+                    live_bytes := !live_bytes + Page.item_length page slot;
+                    if !movable && locked t table (V.item_vid buf off) then movable := false
+                  end
+                end
+                else dead_slots := tid :: !dead_slots
+              end
+            done);
+        if not sealed then
+          List.iter
+            (fun tid ->
+              Heapfile.delete table.heap tid;
+              Walcodec.log_heap t.db ~xid:0 ~rel:table.rel ~kind:Wal.Delete ~tid
+                ~item:Bytes.empty;
+              t.swept <- t.swept + 1)
+            !dead_slots
+        else if
+          !movable && block <> tail && (!live_slots <> [] || !dead_slots <> [])
+          && float_of_int !live_bytes /. float_of_int page_size < fill_threshold
+        then begin
+          List.iter (relocate t table live) !live_slots;
+          t.swept <- t.swept + List.length !dead_slots;
+          Walcodec.log_trim t.db ~rel:table.rel ~block (fun () ->
+              Heapfile.discard_block table.heap block);
+          t.reclaimed <- t.reclaimed + 1
+        end
       end
     done
 
@@ -388,11 +398,11 @@ module Make (V : VERSION_STORE) = struct
               match Heapfile.read table.heap tid with
               | None -> () (* pruned tail *)
               | Some item ->
-                  if V.item_vid item <> vid then
+                  if V.item_vid item 0 <> vid then
                     failwith
                       (Printf.sprintf "vid %d reaches item %d of vid %d" vid (Tid.to_int tid)
-                         (V.item_vid item));
-                  walk (V.older item) (List.fold_left in_order prev (V.stamps item))
+                         (V.item_vid item 0));
+                  walk (V.older item 0) (List.fold_left in_order prev (V.stamps item))
           in
           walk entry None;
           match Heapfile.read table.heap entry with

@@ -1,4 +1,6 @@
 open Version_store
+module Bufpool = Sias_storage.Bufpool
+module Page = Sias_storage.Page
 
 module type PROFILE = sig
   val name : string
@@ -115,14 +117,23 @@ module Make (P : PROFILE) = struct
         then f (Tuple.Si.row item))
 
   (* Vacuum: physically remove versions no snapshot can ever see, and drop
-     their index entries. Nothing is left for the sweep. *)
+     their index entries. Nothing is left for the sweep. Every page is
+     read once through the vacuum ring and its versions judged where they
+     lie; only a victim's row is decoded, for its index deletes. *)
   let mark t table =
     let mgr = t.db.Db.txnmgr in
     let horizon = Txn.horizon mgr in
     let victims = ref [] in
-    Heapfile.iter_ro table.heap (fun tid item ->
-        if Visibility.si_dead_for_all mgr ~horizon (Tuple.Si.header item) then
-          victims := (tid, Tuple.Si.row item) :: !victims);
+    for block = 0 to Heapfile.nblocks table.heap - 1 do
+      if not (Heapfile.discarded table.heap block) then
+        Bufpool.with_page_ro t.db.Db.pool ~rel:table.rel ~block (fun page ->
+            let buf = Page.buffer page in
+            for slot = 0 to Page.slot_count page - 1 do
+              let off = Page.item_offset page slot in
+              if off >= 0 && Visibility.si_dead_for_all mgr ~horizon (Tuple.Si.header_at buf off)
+              then victims := (Tid.make ~block ~slot, Tuple.Si.row_at buf off) :: !victims
+            done)
+    done;
     List.iter
       (fun (tid, row) ->
         Heapfile.delete table.heap tid;
@@ -139,8 +150,8 @@ module Make (P : PROFILE) = struct
   (* The versions of an item are linked only through the indexes: [mark]
      hands nothing to the sweep and the VID_map stays empty, so the hooks
      over heap-item links are never reached. *)
-  let item_vid _ = invalid_arg (name ^ ": versions are never relocated")
-  let older _ = Tid.invalid
+  let item_vid _ _ = invalid_arg (name ^ ": versions are never relocated")
+  let older _ _ = Tid.invalid
   let set_older _ _ = invalid_arg (name ^ ": versions are never relocated")
   let stamps _ = []
   let live_row _ _ = None

@@ -54,10 +54,17 @@ module Si = struct
     Bytes.blit payload 0 b header_size (Bytes.length payload);
     b
 
-  let header b =
-    { xmin = field b 0; xmax = field b 8; xmin_hint = hint_at b 0; xmax_hint = hint_at b 8 }
+  let header_at b o =
+    {
+      xmin = field b o;
+      xmax = field b (o + 8);
+      xmin_hint = hint_at b o;
+      xmax_hint = hint_at b (o + 8);
+    }
 
-  let row b = Value.decode_row b ~pos:header_size
+  let header b = header_at b 0
+  let row_at b o = Value.decode_row b ~pos:(o + header_size)
+  let row b = row_at b 0
 
   (* Overwriting the whole field also clears any stale xmax hint. *)
   let patch_xmax b xmax = Bytes.set_int64_le b 8 (Int64.of_int xmax)
@@ -88,17 +95,19 @@ module Sias = struct
     Bytes.blit payload 0 b header_size (Bytes.length payload);
     b
 
-  let header b =
+  let header_at b o =
     {
-      create = field b 0;
-      seq = Int32.to_int (Bytes.get_int32_le b 24);
-      vid = raw_field b 8;
-      pred = Tid.of_int (raw_field b 16);
-      tombstone = Bytes.get_uint8 b 28 land 1 = 1;
-      create_hint = hint_at b 0;
+      create = field b o;
+      seq = Int32.to_int (Bytes.get_int32_le b (o + 24));
+      vid = raw_field b (o + 8);
+      pred = Tid.of_int (raw_field b (o + 16));
+      tombstone = Bytes.get_uint8 b (o + 28) land 1 = 1;
+      create_hint = hint_at b o;
     }
 
-  let row b = Value.decode_row b ~pos:header_size
+  let header b = header_at b 0
+  let row_at b o = Value.decode_row b ~pos:(o + header_size)
+  let row b = row_at b 0
 
   let patch_pred b pred = Bytes.set_int64_le b 16 (Int64.of_int (Tid.to_int pred))
 end

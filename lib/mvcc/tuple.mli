@@ -53,6 +53,11 @@ module Si : sig
   val header : bytes -> header
   val row : bytes -> Value.t array
 
+  val header_at : bytes -> int -> header
+  val row_at : bytes -> int -> Value.t array
+  (** [header]/[row] of the item at an offset of a buffer: GC reads items
+      where they lie in the page. *)
+
   val patch_xmax : bytes -> int -> unit
   (** In-place invalidation: the small write SI performs on the old
       version. Mutates the given item image; clears any xmax hint. *)
@@ -87,6 +92,10 @@ module Sias : sig
 
   val header : bytes -> header
   val row : bytes -> Value.t array
+
+  val header_at : bytes -> int -> header
+  val row_at : bytes -> int -> Value.t array
+  (** [header]/[row] of the item at an offset of a buffer. *)
 
   val patch_pred : bytes -> Sias_storage.Tid.t -> unit
   (** Garbage collection relocates a predecessor and must repoint its

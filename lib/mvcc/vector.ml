@@ -16,21 +16,24 @@ let capacity = 4
    ({!Tuple.Hint}), patched lazily on first visibility resolution and
    preserved across re-appends so later readers skip the CLOG.
 
-   The store never decodes a vector whole. A record is named by its
-   offset in the item; the walker below steps from record to record by
-   the length field, reads the fixed-offset fields in place and decodes
-   only the row a caller returns. Writes splice: a new item is the new
-   header and record followed by record bytes copied verbatim, which is
-   exactly what re-encoding the decoded records would produce. *)
+   The store never decodes a vector whole. A vector is named by its
+   buffer and its offset there: 0 for a copy, the item's offset in the
+   page buffer where GC reads it in place. A record is named by its
+   offset in that buffer; the walker below steps from record to record
+   by the length field, reads the fixed-offset fields in place and
+   decodes only the row a caller returns. Writes splice: a new item is
+   the new header and record followed by record bytes copied verbatim,
+   which is exactly what re-encoding the decoded records would
+   produce. *)
 
 let header_size = 18
 let hint_shift = 1
 
-let item_vid b = Int64.to_int (Bytes.get_int64_le b 0)
-let count b = Bytes.get_uint16_le b 8
+let item_vid b o = Int64.to_int (Bytes.get_int64_le b o)
+let count b o = Bytes.get_uint16_le b (o + 8)
 
-let older b =
-  let ov = Int64.to_int (Bytes.get_int64_le b 10) in
+let older b o =
+  let ov = Int64.to_int (Bytes.get_int64_le b (o + 10)) in
   if ov = 0 then Tid.invalid else Tid.of_int (ov - 1)
 
 (* The overflow pointer sits at a fixed offset, so GC can repoint it in
@@ -47,17 +50,18 @@ let hint b p = (Bytes.get_uint8 b (flags_off p) lsr hint_shift) land 3
 let next b p = p + 17 + Int32.to_int (Bytes.get_int32_le b (p + 13))
 let row_at b p = Value.decode_row b ~pos:(p + 17)
 
-(* The record walker. [find b pred] is the offset of the first record
-   satisfying [pred], newest first, or -1; [fold] visits every record. *)
-let find b pred =
-  let n = count b in
+(* The record walker over the vector at [o]. [find b o pred] is the
+   offset of the first record satisfying [pred], newest first, or -1;
+   [fold] visits every record. *)
+let find b o pred =
+  let n = count b o in
   let rec go i p = if i >= n then -1 else if pred b p then p else go (i + 1) (next b p) in
-  go 0 header_size
+  go 0 (o + header_size)
 
-let fold b f acc =
-  let n = count b in
+let fold b o f acc =
+  let n = count b o in
   let rec go i p acc = if i >= n then acc else go (i + 1) (next b p) (f acc p) in
-  go 0 header_size acc
+  go 0 (o + header_size) acc
 
 (* One encoded record holding the encoded [row], with no hint. *)
 let record ~create ~seq ~tombstone row =
@@ -91,23 +95,25 @@ let assemble ~vid ~count ~overflow segments =
 (* [cur] with the record [r] prepended: the header is rewritten and the
    old records follow unchanged. *)
 let splice cur r =
-  assemble ~vid:(item_vid cur) ~count:(count cur + 1) ~overflow:(older cur)
+  assemble ~vid:(item_vid cur 0) ~count:(count cur 0 + 1) ~overflow:(older cur 0)
     [ whole r; (cur, header_size, Bytes.length cur - header_size) ]
 
-(* A vector [vid] holding the first [n] records along [chain] (newest
-   first, [n] at most their total), copied verbatim; no overflow. *)
+(* A vector [vid] holding the first [n] records along [chain] (the
+   vectors as (buffer, offset), newest first; [n] at most their total),
+   copied verbatim; no overflow. *)
 let prefix ~vid chain n =
   let rec segments n = function
     | [] -> []
     | _ when n = 0 -> []
-    | b :: rest ->
-        let k = Stdlib.min n (count b) in
+    | (b, o) :: rest ->
+        let k = Stdlib.min n (count b o) in
+        let start = o + header_size in
         let rec skip i p = if i = k then p else skip (i + 1) (next b p) in
-        (b, header_size, skip 0 header_size - header_size) :: segments (n - k) rest
+        (b, start, skip 0 start - start) :: segments (n - k) rest
   in
   assemble ~vid ~count:n ~overflow:Tid.invalid (segments n chain)
 
-let stamps item = List.rev (fold item (fun acc p -> (create item p, seq item p) :: acc) [])
+let stamps item = List.rev (fold item 0 (fun acc p -> (create item p, seq item p) :: acc) [])
 
 (* ---------------- store ---------------- *)
 
@@ -155,8 +161,8 @@ let visible t txn table vid =
           match fetch t table tid with
           | None -> None
           | Some b ->
-              let p = find b (sees tid) in
-              if p < 0 then scan (older b)
+              let p = find b 0 (sees tid) in
+              if p < 0 then scan (older b 0)
               else if tombstone b p then None
               else Some { h_create = create b p; h_seq = seq b p; h_row = row_at b p }
       in
@@ -175,8 +181,8 @@ let effective_head t table vid =
           match fetch t table tid with
           | None -> None
           | Some b ->
-              let p = find b (fun b p -> Txn.status mgr (create b p) <> Txn.Aborted) in
-              if p < 0 then scan (older b) else Some (b, p)
+              let p = find b 0 (fun b p -> Txn.status mgr (create b p) <> Txn.Aborted) in
+              if p < 0 then scan (older b 0) else Some (b, p)
       in
       scan entry
 
@@ -232,7 +238,7 @@ let supersede t txn table ~payload:vid _hit ~old_row new_row =
               (Value.encode_row (Option.value new_row ~default:old_row))
           in
           let fresh =
-            if count cur >= capacity then
+            if count cur 0 >= capacity then
               assemble ~vid ~count:1 ~overflow:(append_item t table ~xid cur) [ whole r ]
             else splice cur r
           in
@@ -254,28 +260,27 @@ let scan t txn table f =
    unreachable garbage for the sweep). GC reads go through the vacuum
    ring: no stats pollution, no working-set eviction, I/O still charged. *)
 
+(* What compaction makes of a data item: nothing dead ([Keep]), nothing
+   live ([Drop] with the pk of its newest version), or the live prefix
+   as a fresh vector ([Rewrite]). *)
+type verdict = Keep | Drop of int | Rewrite of bytes
+
 (* Drop versions no snapshot can need. A version is dead when a younger
    committed version is below the horizon, or its creator aborted; a
-   committed tombstone below the horizon kills the whole item. *)
+   committed tombstone below the horizon kills the whole item. Every
+   vector copy along the overflow chain is read, newest first, and its
+   records are judged where they lie; everything older than the first
+   dead version is dead too. Only the live prefix leaves the page: the
+   fresh vector is assembled in the frame of the copy holding the first
+   dead version, from that copy and from copies of the wholly live
+   vectors before it (taken only while another vector follows). *)
 let compact t table =
   let mgr = t.db.Db.txnmgr in
   let horizon = Txn.horizon mgr in
   for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
     match if locked t table vid then None else Vidmap.get table.vidmap ~vid with
     | None -> ()
-    | Some entry ->
-        (* every vector copy along the overflow chain, newest first *)
-        let rec gather tid acc =
-          if Tid.is_invalid tid then List.rev acc
-          else
-            match Heapfile.read_ro table.heap tid with
-            | None -> List.rev acc
-            | Some b -> gather (older b) (b :: acc)
-        in
-        let chain = gather entry [] in
-        let total = List.fold_left (fun acc b -> acc + count b) 0 chain in
-        (* the live prefix: everything older than the first dead version
-           is dead too *)
+    | Some entry -> (
         let n_live = ref 0 and succ_committed = ref None in
         let dead b p =
           let c = create b p in
@@ -287,32 +292,47 @@ let compact t table =
                false
              end
         in
-        ignore (List.exists (fun b -> find b dead >= 0) chain);
-        if !n_live < total then begin
-          t.store.compacted <- t.store.compacted + 1;
-          if !n_live = 0 then begin
-            (* the whole item is dead; its newest record names the key *)
+        let verdict = ref Keep and live_before = ref [] in
+        let judge b o len =
+          let next = older b o in
+          (match !verdict with
+          | Keep ->
+              let p = find b o dead in
+              if p >= 0 then
+                verdict :=
+                  if !n_live = 0 then Drop (pk_of table (row_at b (o + header_size)))
+                  else Rewrite (prefix ~vid (List.rev ((b, o) :: !live_before)) !n_live)
+              else if not (Tid.is_invalid next) then
+                live_before := (Bytes.sub b o len, 0) :: !live_before
+          | Drop _ | Rewrite _ -> ());
+          next
+        in
+        let rec gather tid =
+          if not (Tid.is_invalid tid) then
+            Option.iter gather (Heapfile.with_item_ro table.heap tid judge)
+        in
+        gather entry;
+        match !verdict with
+        | Keep -> ()
+        | Drop pk ->
+            t.store.compacted <- t.store.compacted + 1;
             Vidmap.clear table.vidmap ~vid;
-            ignore
-              (Index.delete table.pk_index
-                 ~key:(pk_of table (row_at (List.hd chain) header_size))
-                 ~payload:vid)
-          end
-          else
-            Vidmap.set table.vidmap ~vid (append_item t table ~xid:0 (prefix ~vid chain !n_live))
-        end
+            ignore (Index.delete table.pk_index ~key:pk ~payload:vid)
+        | Rewrite fresh ->
+            t.store.compacted <- t.store.compacted + 1;
+            Vidmap.set table.vidmap ~vid (append_item t table ~xid:0 fresh))
   done
 
 let mark t table =
   compact t table;
-  let live = Hashtbl.create 1024 in
+  let live = Liveset.create ~blocks:(Heapfile.nblocks table.heap) in
   let rec walk tid =
-    if (not (Tid.is_invalid tid)) && not (Hashtbl.mem live (Tid.to_int tid)) then
-      match Heapfile.read_ro table.heap tid with
+    if (not (Tid.is_invalid tid)) && not (Liveset.mem live tid) then
+      match Heapfile.with_item_ro table.heap tid (fun b o _ -> older b o) with
       | None -> ()
-      | Some b ->
-          Hashtbl.replace live (Tid.to_int tid) (item_vid b);
-          walk (older b)
+      | Some next ->
+          Liveset.add live tid;
+          walk next
   in
   for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
     Option.iter walk (Vidmap.get table.vidmap ~vid)
@@ -327,7 +347,7 @@ let mark t table =
 (* ---------------- recovery ---------------- *)
 
 let live_row mgr item =
-  let p = find item (fun b p -> Txn.status mgr (create b p) = Txn.Committed) in
+  let p = find item 0 (fun b p -> Txn.status mgr (create b p) = Txn.Committed) in
   if p < 0 || tombstone item p then None else Some (row_at item p)
 
 (* The copy holding the newest committed version wins; ties go to the
@@ -336,7 +356,7 @@ let live_row mgr item =
 let restore t table ~rebuild =
   let mgr = t.db.Db.txnmgr in
   let newest_committed item =
-    fold item
+    fold item 0
       (fun best p ->
         let c = create item p and s = seq item p in
         if Txn.status mgr c <> Txn.Committed then best
@@ -348,9 +368,9 @@ let restore t table ~rebuild =
   in
   restore_entrypoints table ~rebuild
     ~rank:(fun tid item ->
-      ( item_vid item,
+      ( item_vid item 0,
         Option.map
-          (fun rank -> (rank, count item, Tid.to_int tid))
+          (fun rank -> (rank, count item 0, Tid.to_int tid))
           (newest_committed item) ))
     ~indexed_row:(live_row mgr)
 
@@ -365,8 +385,8 @@ let count_versions t table =
             match fetch t table tid with
             | None -> ()
             | Some b ->
-                total := !total + count b;
-                walk (older b)
+                total := !total + count b 0;
+                walk (older b 0)
         in
         walk entry
   done;
@@ -375,7 +395,7 @@ let count_versions t table =
   Vidmap.iter table.vidmap (fun _vid tid ->
       match fetch t table tid with
       | Some b ->
-          let p = find b (fun b p -> Txn.status mgr (create b p) <> Txn.Aborted) in
+          let p = find b 0 (fun b p -> Txn.status mgr (create b p) <> Txn.Aborted) in
           if p >= 0 && not (tombstone b p) then incr live
       | None -> ());
   (!total, !live)

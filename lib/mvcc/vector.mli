@@ -23,12 +23,15 @@ val fetches_per_read : state Version_store.engine -> float
 (** {2 The encoded vector}
 
     The walker the store reads vectors with, exposed for the equivalence
-    tests. A record is named by its byte offset in the item. *)
+    tests. A vector is named by a buffer and its offset there (0 for a
+    copy; GC reads vectors where they lie in the page), a record by its
+    byte offset in that buffer. *)
 
-val count : bytes -> int
+val count : bytes -> int -> int
 
-val fold : bytes -> ('a -> int -> 'a) -> 'a -> 'a
-(** Fold over the record offsets, newest first. *)
+val fold : bytes -> int -> ('a -> int -> 'a) -> 'a -> 'a
+(** [fold b o f acc]: fold over the record offsets of the vector at [o],
+    newest first. *)
 
 val create : bytes -> int -> int
 val seq : bytes -> int -> int
@@ -48,6 +51,7 @@ val splice : bytes -> bytes -> bytes
 (** [splice cur r]: the vector [cur] with the record [r] prepended; the
     old records are copied verbatim. *)
 
-val prefix : vid:int -> bytes list -> int -> bytes
+val prefix : vid:int -> (bytes * int) list -> int -> bytes
 (** [prefix ~vid chain n]: a vector with no overflow holding the first
-    [n] records along [chain], newest first, copied verbatim. *)
+    [n] records along [chain] (vectors as (buffer, offset), newest
+    first), copied verbatim. *)

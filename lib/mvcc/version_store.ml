@@ -151,6 +151,60 @@ let restore_entrypoints table ~rebuild ~rank ~indexed_row =
       if rebuild then Option.iter (index_row table ~payload:vid) (indexed_row item))
     best
 
+(* ---------------- the GC live set ----------------
+
+   One bit per heap slot, a bitmap per block: the mark phase adds every
+   heap item it reaches, and relocation moves an item's bit from its old
+   TID to its new one, growing the set for blocks appended after the
+   mark. Blocks and bitmaps grow by doubling; a block no live item lies
+   on keeps the shared empty bitmap. *)
+
+module Liveset = struct
+  type t = { mutable blocks : Bytes.t array }
+
+  let create ~blocks = { blocks = Array.make (Stdlib.max 1 blocks) Bytes.empty }
+
+  (* The bitmap of [block], at least wide enough for [slot]. *)
+  let bitmap t ~block ~slot =
+    let n = Array.length t.blocks in
+    if block >= n then begin
+      let grown = Array.make (Stdlib.max (block + 1) (2 * n)) Bytes.empty in
+      Array.blit t.blocks 0 grown 0 n;
+      t.blocks <- grown
+    end;
+    let b = t.blocks.(block) in
+    let need = (slot lsr 3) + 1 in
+    if Bytes.length b >= need then b
+    else begin
+      let wider = Bytes.make (Stdlib.max need (2 * Bytes.length b)) '\000' in
+      Bytes.blit b 0 wider 0 (Bytes.length b);
+      t.blocks.(block) <- wider;
+      wider
+    end
+
+  let add t tid =
+    let slot = Tid.slot tid in
+    let b = bitmap t ~block:(Tid.block tid) ~slot in
+    let i = slot lsr 3 in
+    Bytes.set_uint8 b i (Bytes.get_uint8 b i lor (1 lsl (slot land 7)))
+
+  let mem t tid =
+    let block = Tid.block tid and slot = Tid.slot tid in
+    block < Array.length t.blocks
+    &&
+    let b = t.blocks.(block) in
+    let i = slot lsr 3 in
+    i < Bytes.length b && Bytes.get_uint8 b i land (1 lsl (slot land 7)) <> 0
+
+  let remove t tid =
+    if mem t tid then begin
+      let slot = Tid.slot tid in
+      let b = t.blocks.(Tid.block tid) in
+      let i = slot lsr 3 in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i land lnot (1 lsl (slot land 7)))
+    end
+end
+
 (* ---------------- the store signature ---------------- *)
 
 module type S = sig
@@ -202,14 +256,18 @@ module type S = sig
   val scan : state engine -> Txn.t -> table -> (Value.t array -> unit) -> unit
   (** Every visible row of the table. *)
 
-  val mark : state engine -> table -> (int, int) Hashtbl.t option
-  (** GC mark phase. [Some live] (TID -> VID) hands the live items to the
-      sealed-page sweep; [None] means the store reclaimed in place. *)
+  val mark : state engine -> table -> Liveset.t option
+  (** GC mark phase. [Some live] hands the TIDs of the live heap items to
+      the sealed-page sweep; [None] means the store reclaimed in place.
+      Marking reads items where they lie ({!Heapfile.with_item_ro}), in
+      the same sequence of pool accesses as reading copies would. *)
 
-  val item_vid : bytes -> int
+  val item_vid : bytes -> int -> int
+  (** [item_vid buf off]: the VID of the heap item at [off] in [buf]. *)
 
-  val older : bytes -> Tid.t
-  (** A heap item's pointer to the next-older item of its data item. *)
+  val older : bytes -> int -> Tid.t
+  (** [older buf off]: the pointer of the heap item at [off] in [buf] to
+      the next-older item of its data item. *)
 
   val set_older : bytes -> Tid.t -> unit
   (** Patch that pointer in place (the item length must not change). *)

@@ -18,7 +18,17 @@
     of the frame (or ring entry) that receives it, so buffers are
     reused: a {!Page.t} handed to a {!with_page} or {!with_page_ro}
     callback is valid only during that callback. Keep copies
-    ({!Page.read}, {!Page.copy}), never the page. *)
+    ({!Page.read}, {!Page.copy}), never the page.
+
+    {b Access cost.} Every table keyed by page (the frame mapping, the
+    vacuum ring, the durable images and the trusted, OS-pending and
+    torn-write sets) hashes and compares the two ints of {!key}
+    directly, never with the polymorphic hash or compare, and the
+    accessors unpin without [Fun.protect]: a hit allocates only its key
+    and the lookup's option.
+    No result depends on the order of those tables: the OS-cache flusher
+    sorts its keys, a crash replays one table into another, and
+    {!extent} takes a maximum. *)
 
 type t
 

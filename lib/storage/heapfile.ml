@@ -263,18 +263,16 @@ let iter t f =
           Page.iter page (fun slot item -> f (Tid.make ~block ~slot) item))
   done
 
-let read_ro t tid =
+let with_item_ro t tid f =
   let block = Tid.block tid in
   if block < 0 || block >= t.nblocks || t.discarded.(block) then None
   else
-    Bufpool.with_page_ro t.pool ~rel:t.rel ~block (fun page -> Page.read page (Tid.slot tid))
+    Bufpool.with_page_ro t.pool ~rel:t.rel ~block (fun page ->
+        let slot = Tid.slot tid in
+        let off = Page.item_offset page slot in
+        if off < 0 then None else Some (f (Page.buffer page) off (Page.item_length page slot)))
 
-let iter_ro t f =
-  for block = 0 to t.nblocks - 1 do
-    if not t.discarded.(block) then
-      Bufpool.with_page_ro t.pool ~rel:t.rel ~block (fun page ->
-          Page.iter page (fun slot item -> f (Tid.make ~block ~slot) item))
-  done
+let read_ro t tid = with_item_ro t tid Bytes.sub
 
 let page_fill t ~block =
   if block < 0 || block >= t.nblocks then invalid_arg "Heapfile.page_fill: bad block";

@@ -68,9 +68,17 @@ val iter : t -> (Tid.t -> bytes -> unit) -> unit
     buffer misses for every block touched. *)
 
 val read_ro : t -> Tid.t -> bytes option
-val iter_ro : t -> (Tid.t -> bytes -> unit) -> unit
-(** Ring-buffer variants for background work (vacuum/GC): I/O is charged
-    but the buffer pool's working set is not disturbed. *)
+(** Ring-buffer variant of {!read} for background work (vacuum/GC): I/O
+    is charged but the buffer pool's working set is not disturbed. *)
+
+val with_item_ro : t -> Tid.t -> (bytes -> int -> int -> 'a) -> 'a option
+(** [with_item_ro t tid f] runs [f buf off len] on the live item at [tid]
+    where it lies: [buf] is the page buffer, the item occupies [len] bytes
+    from [off]. One ring-buffer access, the same as {!read_ro}, but
+    nothing is copied. [None] where {!read_ro} gives [None] (a dead slot,
+    a discarded block, a block out of range), and then [f] is not called.
+    [f] must not mutate [buf] or keep it after it returns: the buffer is
+    the pool's, and valid only during the call. *)
 
 val page_fill : t -> block:int -> float
 val avg_fill : t -> float

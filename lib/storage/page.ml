@@ -80,6 +80,7 @@ let is_live t i =
 
 let read t i = if is_live t i then Some (Bytes.sub t.buf (slot_off t i) (slot_len t i)) else None
 let item_offset t i = if is_live t i then slot_off t i else -1
+let item_length t i = if is_live t i then slot_len t i else -1
 let buffer t = t.buf
 
 let live_bytes t =

@@ -33,11 +33,18 @@ val item_offset : t -> int -> int
 (** Byte offset of a live slot's item within {!buffer}; [-1] for dead,
     unused or out-of-range slots. *)
 
+val item_length : t -> int -> int
+(** Byte length of a live slot's item; [-1] for dead, unused or
+    out-of-range slots. *)
+
 val buffer : t -> bytes
-(** The page's own byte buffer, not a copy: a read-only view for
-    in-place item decoding. Callers must not mutate it (the buffer pool
-    alone does, while it loads an image into a page no caller holds), and
-    must not use it past the pin that produced the page. *)
+(** The page's own byte buffer, not a copy: a view for in-place item
+    decoding. Callers must not use it past the pin that produced the
+    page, and may change only bytes inside a live item of a page they
+    hold through {!Bufpool.with_page}, marking it dirty after (as
+    {!update} would, without the copy; the paged VID_map writes its
+    records so). Everything else in it is the page's and the pool's: the
+    pool alone reloads it, while no caller holds the page. *)
 
 val update : t -> int -> bytes -> bool
 (** [update p slot item] overwrites the item in place when the new value

@@ -57,6 +57,13 @@ let alloc_vid t =
   t.next_vid <- vid + 1;
   vid
 
+(* A paged bucket's records are read and written where they lie in the
+   frame: the bucket item's offset, then 6 bytes per VID. *)
+let record_offset page pos =
+  let base = Sias_storage.Page.item_offset page 0 in
+  if base < 0 then failwith "Vidmap: missing bucket item";
+  base + (pos * record_size)
+
 let read_record t vid =
   let bucket = vid / bucket_capacity in
   let pos = vid mod bucket_capacity in
@@ -64,14 +71,11 @@ let read_record t vid =
   | In_memory cell -> !cell.(bucket).(pos)
   | Paged (pool, rel) ->
       Sias_storage.Bufpool.with_page pool ~rel ~block:bucket (fun page ->
-          match Sias_storage.Page.read page 0 with
-          | None -> failwith "Vidmap: missing bucket item"
-          | Some item ->
-              let off = pos * record_size in
-              let hi = Bytes.get_uint16_le item off in
-              let lo = Bytes.get_uint16_le item (off + 2) in
-              let slot = Bytes.get_uint16_le item (off + 4) in
-              (hi lsl 32) lor (lo lsl 16) lor slot)
+          let b = Sias_storage.Page.buffer page and off = record_offset page pos in
+          let hi = Bytes.get_uint16_le b off in
+          let lo = Bytes.get_uint16_le b (off + 2) in
+          let slot = Bytes.get_uint16_le b (off + 4) in
+          (hi lsl 32) lor (lo lsl 16) lor slot)
 
 let write_record t vid value =
   let bucket = vid / bucket_capacity in
@@ -81,16 +85,11 @@ let write_record t vid value =
   | In_memory cell -> !cell.(bucket).(pos) <- value
   | Paged (pool, rel) ->
       Sias_storage.Bufpool.with_page pool ~rel ~block:bucket (fun page ->
-          match Sias_storage.Page.read page 0 with
-          | None -> failwith "Vidmap: missing bucket item"
-          | Some item ->
-              let off = pos * record_size in
-              Bytes.set_uint16_le item off ((value lsr 32) land 0xFFFF);
-              Bytes.set_uint16_le item (off + 2) ((value lsr 16) land 0xFFFF);
-              Bytes.set_uint16_le item (off + 4) (value land 0xFFFF);
-              if not (Sias_storage.Page.update page 0 item) then
-                failwith "Vidmap: bucket update did not fit";
-              Sias_storage.Bufpool.mark_dirty pool ~rel ~block:bucket)
+          let b = Sias_storage.Page.buffer page and off = record_offset page pos in
+          Bytes.set_uint16_le b off ((value lsr 32) land 0xFFFF);
+          Bytes.set_uint16_le b (off + 2) ((value lsr 16) land 0xFFFF);
+          Bytes.set_uint16_le b (off + 4) (value land 0xFFFF);
+          Sias_storage.Bufpool.mark_dirty pool ~rel ~block:bucket)
 
 let check_vid t vid name =
   if vid < 0 || vid >= t.next_vid then invalid_arg ("Vidmap." ^ name ^ ": VID not allocated")

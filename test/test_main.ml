@@ -21,6 +21,7 @@ let () =
       ("engine-si-cv", Test_engines.Si_cv_suite.suite);
       ("sias-whitebox", Test_sias.suite);
       ("sias-v-vector", Test_vector.suite);
+      ("gc-access", Test_gc_access.suite);
       ("si-vs-sias", Test_equiv.suite);
       ("tpcc", Test_tpcc.suite);
       ("integration", Test_extra.suite);

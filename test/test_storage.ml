@@ -360,6 +360,57 @@ let test_heap_insert_read_roundtrip () =
         (Heapfile.read heap tid))
     tids
 
+(* [with_item_ro] judges an item where it lies: the same bytes as
+   [read_ro] through the same ring access, on a ring miss and a ring
+   hit, and [None] (the callback never runs) wherever [read_ro] has no
+   item. *)
+let test_heap_with_item_ro () =
+  let pool, _, _ = mk_pool ~capacity:4 () in
+  let heap = Heapfile.create pool ~rel:0 ~placement:Heapfile.Append_only in
+  let tids =
+    Array.init 120 (fun i ->
+        Heapfile.insert heap (Bytes.make (60 + (i mod 30)) (Char.chr (65 + (i mod 26)))))
+  in
+  Bufpool.flush_all pool ~sync:false;
+  check "items span blocks beyond the pool" true (Heapfile.nblocks heap > 8);
+  let in_frame tid = Heapfile.with_item_ro heap tid (fun buf off len -> Bytes.sub buf off len) in
+  let counted f =
+    let s0 = Bufpool.stats pool in
+    let v = f () in
+    let s1 = Bufpool.stats pool in
+    (v, s1.Bufpool.hits - s0.Bufpool.hits, s1.Bufpool.misses - s0.Bufpool.misses)
+  in
+  let same what expect (got, hits, misses) (want_hits, want_misses) =
+    Alcotest.(check (option bytes)) what expect got;
+    checki (what ^ ": hits") want_hits hits;
+    checki (what ^ ": misses") want_misses misses
+  in
+  (* block 0 left the four frames long ago: in the frame first (a ring
+     miss), then copied (a ring hit) *)
+  let t0 = tids.(0) in
+  let expect0 = Some (Bytes.make 60 'A') in
+  same "in frame, ring miss" expect0 (counted (fun () -> in_frame t0)) (0, 1);
+  same "copy, ring hit" expect0 (counted (fun () -> Heapfile.read_ro heap t0)) (1, 0);
+  (* and the other way round on block 1 *)
+  let t1 = Option.get (Array.find_opt (fun tid -> Tid.block tid = 1) tids) in
+  let copy = counted (fun () -> Heapfile.read_ro heap t1) in
+  let expect1, _, _ = copy in
+  check "block 1 has an item" true (expect1 <> None);
+  same "copy, ring miss" expect1 copy (0, 1);
+  same "in frame, ring hit" expect1 (counted (fun () -> in_frame t1)) (1, 0);
+  (* no item: the callback must not run *)
+  let never tid = Heapfile.with_item_ro heap tid (fun _ _ _ -> Alcotest.fail "callback ran") in
+  Heapfile.delete heap tids.(1);
+  check "dead slot" true (never tids.(1) = None);
+  check "dead slot, copy" true (Heapfile.read_ro heap tids.(1) = None);
+  let discarded = Tid.block tids.(Array.length tids / 2) in
+  Heapfile.discard_block heap discarded;
+  check "discarded block" true (never tids.(Array.length tids / 2) = None);
+  check "block out of range" true
+    (never (Tid.make ~block:(Heapfile.nblocks heap + 3) ~slot:0) = None);
+  check "invalid tid" true (never Tid.invalid = None);
+  check "slot out of range" true (never (Tid.make ~block:0 ~slot:4000) = None)
+
 let test_heap_append_only_monotone_blocks () =
   let heap, _, _, _ = mk_heap Heapfile.Append_only in
   let item = Bytes.make 100 'z' in
@@ -496,6 +547,7 @@ let suite =
       test_pool_nested_ring_miss_keeps_outer;
     Alcotest.test_case "pool scripted hit/miss counts" `Quick test_pool_scripted_counts;
     Alcotest.test_case "heap insert/read roundtrip" `Quick test_heap_insert_read_roundtrip;
+    Alcotest.test_case "heap in-frame item reads" `Quick test_heap_with_item_ro;
     Alcotest.test_case "heap append-only monotone" `Quick test_heap_append_only_monotone_blocks;
     Alcotest.test_case "heap FSM refills holes" `Quick test_heap_free_space_first_refills;
     Alcotest.test_case "heap append-only never refills" `Quick test_heap_append_only_never_refills;

@@ -124,24 +124,35 @@ let rows_equal a b =
 
 (* ---------------- properties ---------------- *)
 
+(* [b] at offset [o] of a larger buffer, the way GC finds a vector in a
+   page *)
+let embed o b =
+  let buf = Bytes.make (o + Bytes.length b + 5) '\xA5' in
+  Bytes.blit b 0 buf o (Bytes.length b);
+  buf
+
 let qcheck_walk =
   QCheck.Test.make ~name:"walker reads every record as the reference decoder" ~count:300
-    arb_vector (fun v ->
+    (QCheck.pair arb_vector QCheck.small_nat) (fun (v, o) ->
       let b = encode v in
       let reference = (decode b).versions in
-      let offs = List.rev (Vector.fold b (fun acc p -> p :: acc) []) in
-      Vector.count b = List.length reference
-      && Vector.item_vid b = v.vid
-      && Tid.equal (Vector.older b) v.overflow
-      && List.for_all2
-           (fun p r ->
-             Vector.flags_off p = r.flags_off
-             && Vector.create b p = r.create
-             && Vector.seq b p = r.seq
-             && Vector.tombstone b p = r.tombstone
-             && Vector.hint b p = r.hint
-             && rows_equal (Vector.row_at b p) r.row)
-           offs reference
+      let reads_as_reference buf o =
+        let offs = List.rev (Vector.fold buf o (fun acc p -> p :: acc) []) in
+        Vector.count buf o = List.length reference
+        && Vector.item_vid buf o = v.vid
+        && Tid.equal (Vector.older buf o) v.overflow
+        && List.for_all2
+             (fun p r ->
+               Vector.flags_off p = o + r.flags_off
+               && Vector.create buf p = r.create
+               && Vector.seq buf p = r.seq
+               && Vector.tombstone buf p = r.tombstone
+               && Vector.hint buf p = r.hint
+               && rows_equal (Vector.row_at buf p) r.row)
+             offs reference
+      in
+      reads_as_reference b 0
+      && reads_as_reference (embed o b) o
       && Vector.stamps b = List.map (fun r -> (r.create, r.seq)) reference)
 
 let qcheck_splice =
@@ -165,7 +176,8 @@ let qcheck_prefix =
       let all = List.concat_map (fun b -> (decode b).versions) items in
       let n = 1 + (k mod List.length all) in
       let vid = (List.hd chain).vid in
-      Bytes.equal (Vector.prefix ~vid items n)
+      let in_frames = List.mapi (fun i b -> (embed (3 * i) b, 3 * i)) items in
+      Bytes.equal (Vector.prefix ~vid in_frames n)
         (encode
            { vid; overflow = Tid.invalid; versions = List.filteri (fun i _ -> i < n) all }))
 

@@ -25,9 +25,11 @@ bench:
 # into it). Wall-clock optimisations that leak into simulated time fail
 # here. The paged-index runs use a pool far below heap plus index, so
 # their `buffer:` hit/miss/eviction line also pins the sequence of index
-# page accesses. One bench chapter run under --faults and async commit
-# pins the bench's fill-in of command-line flags into experiment setups
-# (the wall-time line is the only host-dependent output and is dropped).
+# page accesses; the 20-warehouse paged run grows its largest index to
+# height 3, so its line also pins internal-node routing. One bench
+# chapter run under --faults and async commit pins the bench's fill-in
+# of command-line flags into experiment setups (the wall-time line is
+# the only host-dependent output and is dropped).
 determinism:
 	mkdir -p _obs
 	for e in $(ENGINES); do \
@@ -45,6 +47,10 @@ determinism:
 	    --domains 1 > _obs/run_$${e}_paged.txt 2>&1 || exit 1; \
 	  diff -u test/golden/run_$${e}_paged.txt _obs/run_$${e}_paged.txt || exit 1; \
 	done
+	@echo "== sias-v/paged, 20 WH (height-3 index) =="
+	dune exec bin/sias_cli.exe -- run -e sias-v --index paged -w 20 -d 20 --buffer 512 \
+	  --domains 1 > _obs/run_sias-v_paged_w20.txt 2>&1
+	diff -u test/golden/run_sias-v_paged_w20.txt _obs/run_sias-v_paged_w20.txt
 	@echo "== bench vectors --faults 3 --synchronous-commit off =="
 	dune exec bench/main.exe -- vectors --faults 3 --synchronous-commit off \
 	  > _obs/bench_vectors_overlay.raw

@@ -8,11 +8,9 @@ module type S = sig
   val delete : i -> key:int -> payload:int -> bool
   val lookup : i -> key:int -> int list
   val range : i -> lo:int -> hi:int -> (int * int) list
-  val mem : i -> key:int -> payload:int -> bool
   val entry_count : i -> int
   val height : i -> int
   val node_count : i -> int
-  val iter : i -> (int -> int -> unit) -> unit
   val inserts : i -> int
   val splits : i -> int
   val merges : i -> int
@@ -26,11 +24,9 @@ module Array_impl : S with type i = Btree.t = struct
   let delete = Btree.delete
   let lookup = Btree.lookup
   let range = Btree.range
-  let mem = Btree.mem
   let entry_count = Btree.entry_count
   let height = Btree.height
   let node_count = Btree.node_count
-  let iter = Btree.iter
   let inserts t = (Btree.stats t).Btree.inserts
   let splits t = (Btree.stats t).Btree.splits
   let merges _ = 0
@@ -44,11 +40,9 @@ module Paged_impl : S with type i = Pbt.t = struct
   let delete = Pbt.delete
   let lookup = Pbt.lookup
   let range = Pbt.range
-  let mem = Pbt.mem
   let entry_count = Pbt.entry_count
   let height = Pbt.height
   let node_count = Pbt.node_count
-  let iter = Pbt.iter
   let inserts t = (Pbt.stats t).Pbt.inserts
   let splits t = (Pbt.stats t).Pbt.splits
   let merges t = (Pbt.stats t).Pbt.merges
@@ -79,16 +73,10 @@ let recover db (Packed (_, _, old_rel)) =
       Packed ((module Paged_impl), Walcodec.restore_index db ~rel:old_rel, old_rel)
 
 let needs_rebuild (Packed ((module M), _, _)) = M.needs_rebuild
-let rel (Packed (_, _, rel)) = rel
 let insert (Packed ((module M), i, _)) ~key ~payload = M.insert i ~key ~payload
 let delete (Packed ((module M), i, _)) ~key ~payload = M.delete i ~key ~payload
 let lookup (Packed ((module M), i, _)) ~key = M.lookup i ~key
 let range (Packed ((module M), i, _)) ~lo ~hi = M.range i ~lo ~hi
-let mem (Packed ((module M), i, _)) ~key ~payload = M.mem i ~key ~payload
-let entry_count (Packed ((module M), i, _)) = M.entry_count i
-let height (Packed ((module M), i, _)) = M.height i
-let node_count (Packed ((module M), i, _)) = M.node_count i
-let iter (Packed ((module M), i, _)) f = M.iter i f
 
 type summary = {
   s_rel : int;

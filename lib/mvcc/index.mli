@@ -8,10 +8,10 @@
       cache, no WAL logging; recovery discards the tree and rebuilds it
       from the heap. The historical behavior, byte-identical to every
       golden output, and the determinism oracle for the paged path.
-    - [`Paged] — {!Sias_index.Paged_btree}: slotted pages searched in
-      place on every access (decoded only to plan splits and merges),
-      every structural change WAL-logged; recovery replays the pages in
-      place and never touches the heap.
+    - [`Paged] — {!Sias_index.Paged_btree}: slotted pages kept in key
+      order and binary-searched in place on every access (decoded only
+      to plan splits), every structural change WAL-logged; recovery
+      replays the pages in place and never touches the heap.
 
     The packing is a first-class module plus its value, so engine code
     is written once against {!module-type-S}. *)
@@ -23,11 +23,9 @@ module type S = sig
   val delete : i -> key:int -> payload:int -> bool
   val lookup : i -> key:int -> int list
   val range : i -> lo:int -> hi:int -> (int * int) list
-  val mem : i -> key:int -> payload:int -> bool
   val entry_count : i -> int
   val height : i -> int
   val node_count : i -> int
-  val iter : i -> (int -> int -> unit) -> unit
   val inserts : i -> int
   val splits : i -> int
   val merges : i -> int
@@ -59,18 +57,10 @@ val recover : Db.t -> t -> t
 
 val needs_rebuild : t -> bool
 
-val rel : t -> int
-(** The relation id, for classifying device traffic as index traffic. *)
-
 val insert : t -> key:int -> payload:int -> unit
 val delete : t -> key:int -> payload:int -> bool
 val lookup : t -> key:int -> int list
 val range : t -> lo:int -> hi:int -> (int * int) list
-val mem : t -> key:int -> payload:int -> bool
-val entry_count : t -> int
-val height : t -> int
-val node_count : t -> int
-val iter : t -> (int -> int -> unit) -> unit
 
 type summary = {
   s_rel : int;

@@ -162,6 +162,39 @@ let insert t item =
     Some slot
   end
 
+(* Index pages keep their slot directory in key order (PostgreSQL nbtree
+   orders its line pointers the same way): an insert opens a slot at its
+   position and a removal closes one, moving the line pointers above it.
+   Such a page has no dead slots. *)
+let insert_at t pos item =
+  let len = Bytes.length item in
+  if len = 0 || len >= dead_len then invalid_arg "Page.insert_at: bad item length";
+  let n = nslots t in
+  if pos < 0 || pos > n then invalid_arg "Page.insert_at: position out of range";
+  let fits_contiguous () = upper t - (lower t + slot_size) >= len in
+  if (not (fits_contiguous ())) && t.size - (lower t + slot_size) - live_bytes t >= len then
+    compact t;
+  if not (fits_contiguous ()) then false
+  else begin
+    Bytes.blit t.buf (slot_pos pos) t.buf (slot_pos (pos + 1)) (slot_size * (n - pos));
+    set_nslots t (n + 1);
+    set_lower t (lower t + slot_size);
+    let off = upper t - len in
+    Bytes.blit item 0 t.buf off len;
+    set_slot t pos ~off ~len;
+    set_upper t off;
+    set_live t (live t + 1);
+    true
+  end
+
+let remove t i =
+  let n = nslots t in
+  if i < 0 || i >= n then invalid_arg "Page.remove: slot out of range";
+  if is_live t i then set_live t (live t - 1);
+  Bytes.blit t.buf (slot_pos (i + 1)) t.buf (slot_pos i) (slot_size * (n - 1 - i));
+  set_nslots t (n - 1);
+  set_lower t (lower t - slot_size)
+
 let update t i item =
   if not (is_live t i) then invalid_arg "Page.update: slot not live";
   let len = Bytes.length item in

@@ -25,6 +25,19 @@ val insert : t -> bytes -> int option
 (** [insert p item] places the item and returns its slot, or [None] when
     even compaction cannot make room. Dead slots are reused. *)
 
+val insert_at : t -> int -> bytes -> bool
+(** [insert_at p pos item] places the item in slot [pos] (at most
+    {!slot_count}), moving slots [pos..] up by one, and returns [false],
+    leaving the page unchanged, when even compaction cannot make room.
+    For index pages, which keep their slots in key order; heap pages
+    never call it, since their slot numbers are tuple ids. *)
+
+val remove : t -> int -> unit
+(** [remove p slot] drops the slot and moves the slots above it down by
+    one; its item space becomes reclaimable, as after {!delete}. Raises
+    [Invalid_argument] on out-of-range slots. The index-page counterpart
+    of {!delete}. *)
+
 val read : t -> int -> bytes option
 (** Item bytes of a live slot; [None] for dead, unused or out-of-range
     slots. The returned bytes are a copy. *)

@@ -1,6 +1,6 @@
-(* Tests for the paged, WAL-logged B+Tree: model equivalence, crash
-   recovery byte-exactness, the index crash points, and array-vs-paged
-   engine equivalence. *)
+(* Tests for the paged, WAL-logged B+Tree: model equivalence, the
+   key order of every node's slots, crash recovery byte-exactness, the
+   index crash points, and array-vs-paged engine equivalence. *)
 
 module Pbt = Sias_index.Paged_btree
 module Db = Mvcc.Db
@@ -29,6 +29,46 @@ let entries t =
   let acc = ref [] in
   Pbt.iter t (fun k p -> acc := (k, p) :: !acc);
   List.rev !acc
+
+let i64 b off = Int64.to_int (Bytes.get_int64_le b off)
+
+(* An entry item's (key, payload): a leaf item is two i64s; an internal
+   item keeps the first [s] big-endian key bytes of the node's ref key
+   and stores the other [8 - s], then the payload. *)
+let entry_pair ~leaf ~ref_key item =
+  if leaf then (i64 item 0, i64 item 8)
+  else begin
+    let s = Bytes.get_uint8 item 0 in
+    let kb = Bytes.create 8 in
+    Bytes.set_int64_be kb 0 (Int64.of_int ref_key);
+    Bytes.blit item 1 kb s (8 - s);
+    (Int64.to_int (Bytes.get_int64_be kb 0), i64 item (9 - s))
+  end
+
+(* The slot-order invariant of every node page, read through the pool:
+   slot 0 is the 32-byte node header, slots 1.. hold the entries
+   strictly ascending by (key, payload), and no slot is dead. *)
+let nodes_ordered db rel t =
+  let ok = ref true in
+  for block = 1 to Pbt.node_count t do
+    Bufpool.with_page_ro db.Db.pool ~rel ~block (fun p ->
+        let n = Page.slot_count p in
+        if Page.live_count p <> n then ok := false;
+        match Page.read p 0 with
+        | Some h when Bytes.length h = 32 && Bytes.get_uint8 h 0 <= 1 ->
+            let leaf = Bytes.get_uint8 h 0 = 0 and ref_key = i64 h 24 in
+            let prev = ref None in
+            for slot = 1 to n - 1 do
+              match Page.read p slot with
+              | None -> ok := false
+              | Some item ->
+                  let kp = entry_pair ~leaf ~ref_key item in
+                  (match !prev with Some q when compare q kp >= 0 -> ok := false | _ -> ());
+                  prev := Some kp
+            done
+        | _ -> ok := false)
+  done;
+  !ok
 
 (* ---------------- the array suite's behaviors, on paged ---------------- *)
 
@@ -166,6 +206,7 @@ let test_recovery_byte_exact () =
   Walcodec.redo db ~since_lsn:0;
   check_byte_exact "redo" before (capture db rel n);
   let t' = Walcodec.restore_index db ~rel in
+  check "replayed nodes ordered" true (nodes_ordered db rel t');
   checki "entry count restored" (List.length before_entries) (Pbt.entry_count t');
   check "entries restored" true (entries t' = before_entries)
 
@@ -190,6 +231,39 @@ let test_checkpoint_then_split () =
   check_byte_exact "checkpointed split" before (capture db rel n);
   let t' = Walcodec.restore_index db ~rel in
   checki "entries" 330 (Pbt.entry_count t')
+
+(* Redo places an [Ins] by the same binary search over the page bytes
+   as the normal path, and a split's removals from the top of the slot
+   directory down. Even keys 2..598 fill one leaf to 299 entries; key
+   301 lands in its middle and fills it; key 101 splits it, moving the
+   top 151 entries right and inserting into the left half. Replayed from
+   the start of the log, and once from a full-page image taken by a
+   checkpoint before the middle insert, every page comes back byte for
+   byte. *)
+let test_replay_middle_insert_and_split () =
+  List.iter
+    (fun checkpoint ->
+      let name = if checkpoint then "from a full-page image" else "from the log start" in
+      let db, rel, t = mk () in
+      for k = 1 to 299 do
+        Pbt.insert t ~key:(2 * k) ~payload:k
+      done;
+      if checkpoint then Bgwriter.checkpoint_now db.Db.bgwriter;
+      Pbt.insert t ~key:301 ~payload:0;
+      checki (name ^ ": full leaf, no split yet") 0 (Pbt.stats t).Pbt.splits;
+      Pbt.insert t ~key:101 ~payload:0;
+      checki (name ^ ": one split") 1 (Pbt.stats t).Pbt.splits;
+      check (name ^ ": nodes ordered") true (nodes_ordered db rel t);
+      Wal.flush db.Db.wal ~sync:true;
+      let n = Pbt.node_count t + 2 in
+      let before = capture db rel n and before_entries = entries t in
+      Db.crash db;
+      Walcodec.redo db ~since_lsn:0;
+      check_byte_exact name before (capture db rel n);
+      let t' = Walcodec.restore_index db ~rel in
+      check (name ^ ": replayed nodes ordered") true (nodes_ordered db rel t');
+      check (name ^ ": entries") true (entries t' = before_entries))
+    [ false; true ]
 
 (* Arm each index crash point in turn: the batch in flight when the
    "power" fails was never WAL-flushed, so recovery must serve exactly
@@ -239,9 +313,10 @@ let qcheck_paged_model =
     (fun ops ->
       let db, rel, t = mk () in
       let model = Hashtbl.create 64 in
+      let ordered = ref true in
       List.iter
         (fun (k, (p, op)) ->
-          match op with
+          (match op with
           | 0 | 1 ->
               Pbt.insert t ~key:k ~payload:p;
               Hashtbl.replace model (k, p) ()
@@ -255,7 +330,8 @@ let qcheck_paged_model =
                 Hashtbl.remove model (k, p);
                 Pbt.insert t ~key:k ~payload:(p + 1);
                 Hashtbl.replace model (k, p + 1) ()
-              end)
+              end);
+          ordered := !ordered && nodes_ordered db rel t)
         ops;
       let expected =
         Hashtbl.fold (fun kp () acc -> kp :: acc) model [] |> List.sort compare
@@ -264,7 +340,8 @@ let qcheck_paged_model =
         List.filter (fun (k, _) -> k >= lo && k <= hi) expected
       in
       let live_ok =
-        entries t = expected
+        !ordered
+        && entries t = expected
         && Pbt.range t ~lo:10 ~hi:60 = range_expected 10 60
       in
       (* crash, replay, restore: same answers from the replayed pages *)
@@ -273,6 +350,7 @@ let qcheck_paged_model =
       Walcodec.redo db ~since_lsn:0;
       let t' = Walcodec.restore_index db ~rel in
       live_ok
+      && nodes_ordered db rel t'
       && entries t' = expected
       && Pbt.range t' ~lo:10 ~hi:60 = range_expected 10 60
       && Pbt.entry_count t' = List.length expected)
@@ -301,8 +379,9 @@ let multilevel_key rng =
   | _ -> 0x0123_4567_89AB_CD00 + Rng.int rng 256
 
 (* [n] operations — 80% fresh inserts, 10% deletes and 10% payload moves
-   of present pairs — applied to the tree and to a (key, payload) model. *)
-let build_multilevel t rng n =
+   of present pairs — applied to the tree and to a (key, payload) model,
+   running [after_op] after each. *)
+let build_multilevel ?(after_op = ignore) t rng n =
   let model = Hashtbl.create 4096 in
   let live = Array.make n (0, 0) and nlive = ref 0 in
   let add kp =
@@ -323,12 +402,13 @@ let build_multilevel t rng n =
     kp
   in
   for _ = 1 to n do
-    match Rng.int rng 20 with
+    (match Rng.int rng 20 with
     | r when r < 16 || !nlive = 0 -> add (multilevel_key rng, Rng.int rng 4)
     | r when r < 18 -> ignore (take ())
     | _ ->
         let k, p = take () in
-        add (k, p + 1)
+        add (k, p + 1));
+    after_op ()
   done;
   Hashtbl.fold (fun kp () acc -> kp :: acc) model [] |> List.sort compare
 
@@ -389,13 +469,16 @@ let qcheck_multilevel_model =
     (fun (seed, n) ->
       let db, rel, t = mk () in
       let rng = Rng.create seed in
-      let expected = build_multilevel t rng n in
-      let live_ok = Pbt.height t >= 2 && probes_agree t rng expected in
+      let ordered = ref true in
+      let after_op () = ordered := !ordered && nodes_ordered db rel t in
+      let expected = build_multilevel ~after_op t rng n in
+      let live_ok = !ordered && Pbt.height t >= 2 && probes_agree t rng expected in
       Wal.flush db.Db.wal ~sync:true;
       Db.crash db;
       Walcodec.redo db ~since_lsn:0;
       let t' = Walcodec.restore_index db ~rel in
       live_ok
+      && nodes_ordered db rel t'
       && Pbt.height t' = Pbt.height t
       && Pbt.entry_count t' = List.length expected
       && probes_agree t' rng expected)
@@ -407,13 +490,14 @@ let qcheck_multilevel_model =
    ~38k entries; the keys cross zero, so some separators share no byte
    with their node's ref key. *)
 let test_three_levels () =
-  let _, _, t = mk ~buffer_pages:1024 () in
+  let db, rel, t = mk ~buffer_pages:1024 () in
   let key i = -(1 lsl 34) + (i * 1_048_577) in
   let n = 40_000 in
   for i = 0 to n - 1 do
     Pbt.insert t ~key:(key i) ~payload:(i land 3)
   done;
   checki "three levels" 3 (Pbt.height t);
+  check "nodes ordered" true (nodes_ordered db rel t);
   let expected = List.init n (fun i -> (key i, i land 3)) in
   check "probes match the model" true (probes_agree t (Rng.create 5) expected);
   let ok = ref true in
@@ -550,6 +634,8 @@ let suite =
       test_recovery_byte_exact;
     Alcotest.test_case "checkpoint then split recovers" `Quick
       test_checkpoint_then_split;
+    Alcotest.test_case "replay: middle insert into a full leaf, then its split" `Quick
+      test_replay_middle_insert_and_split;
     Alcotest.test_case "index crash points recover to flushed prefix" `Quick
       test_crash_points;
     QCheck_alcotest.to_alcotest qcheck_paged_model;

@@ -97,6 +97,47 @@ let test_page_compaction () =
         Alcotest.(check (option bytes)) "survivor" (Some item) (Page.read p s))
     !slots
 
+(* Key-ordered slots (index pages): [insert_at] opens a slot at its
+   position and [remove] closes one, each moving the slots above; the
+   holes [remove] leaves are reclaimed by the compaction of a later
+   [insert_at], which keeps slot order. *)
+let test_page_ordered_slots () =
+  let p = Page.create ~size:256 in
+  let items () =
+    List.init (Page.slot_count p) (fun i -> Bytes.to_string (Option.get (Page.read p i)))
+  in
+  let at pos s = check ("insert_at " ^ s) true (Page.insert_at p pos (bytes_of s)) in
+  at 0 "b";
+  at 1 "d";
+  at 0 "a";
+  at 2 "c";
+  Alcotest.(check (list string)) "in position order" [ "a"; "b"; "c"; "d" ] (items ());
+  Page.remove p 1;
+  Alcotest.(check (list string)) "removal shifts down" [ "a"; "c"; "d" ] (items ());
+  checki "no dead slot" (Page.slot_count p) (Page.live_count p);
+  let item c = Bytes.make 40 c in
+  let n = ref 0 in
+  while Page.insert_at p 1 (item (Char.chr (Char.code 'e' + !n))) do
+    incr n
+  done;
+  checki "page full, unchanged" (3 + !n) (Page.slot_count p);
+  (* free two 40-byte items: a 60-byte one fits only after compaction *)
+  Page.remove p 1;
+  Page.remove p 1;
+  check "fits via compaction" true (Page.insert_at p 2 (Bytes.make 60 'z'));
+  let after = items () in
+  checki "slots" (2 + !n) (List.length after);
+  Alcotest.(check string) "first kept" "a" (List.hd after);
+  Alcotest.(check string) "placed at its position" (String.make 60 'z') (List.nth after 2);
+  Alcotest.(check (list string)) "top kept" [ "c"; "d" ]
+    (List.filteri (fun i _ -> i >= List.length after - 2) after);
+  Alcotest.check_raises "position past the end"
+    (Invalid_argument "Page.insert_at: position out of range") (fun () ->
+      ignore (Page.insert_at p (Page.slot_count p + 1) (bytes_of "x")));
+  Alcotest.check_raises "remove out of range"
+    (Invalid_argument "Page.remove: slot out of range") (fun () ->
+      Page.remove p (Page.slot_count p))
+
 let test_page_copy_independent () =
   let p = Page.create ~size:256 in
   let _ = Page.insert p (bytes_of "orig") in
@@ -531,6 +572,7 @@ let suite =
     Alcotest.test_case "page update in place" `Quick test_page_update_in_place;
     Alcotest.test_case "page fills up" `Quick test_page_fills_up;
     Alcotest.test_case "page compaction" `Quick test_page_compaction;
+    Alcotest.test_case "page key-ordered slots" `Quick test_page_ordered_slots;
     Alcotest.test_case "page copy independence" `Quick test_page_copy_independent;
     Alcotest.test_case "page lsn" `Quick test_page_lsn;
     QCheck_alcotest.to_alcotest qcheck_page_model;

@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check bench determinism multicore demo contention obs groupcommit repl isolation chaos index clean
+.PHONY: all build test check bench alloc determinism multicore demo contention obs groupcommit repl isolation chaos index clean
 
 # Every registered engine; the per-engine smoke targets loop over it.
 ENGINES := si si-cv sias sias-v
@@ -17,6 +17,26 @@ check: build test
 
 bench:
 	dune exec bench/main.exe
+
+# Major-heap census: each benchmark workload for 3 s of rounds under
+# OCAMLRUNPARAM=v=0x400, which makes the runtime print its allocation
+# totals at exit. Prints the benchmark process's major words (direct
+# major allocations plus promotions), major collections and top heap
+# size in words. A block over 256 words skips the minor heap, so a page
+# copy made per operation shows here first.
+WORKLOADS := paper-siasv-t1 index-si-paged ssi-sias-checked readmostly-siasv
+
+alloc:
+	mkdir -p _obs
+	for w in $(WORKLOADS); do \
+	  OCAMLRUNPARAM=v=0x400 sh benchmark/run.sh --workload $$w --seconds 3 --trace 0 \
+	    > _obs/alloc_$$w.txt 2>&1 || { cat _obs/alloc_$$w.txt; exit 1; }; \
+	  printf '%s' "$$w:"; \
+	  for k in major_words major_collections top_heap_words; do \
+	    printf ' %s=%s' $$k "$$(grep "^$$k:" _obs/alloc_$$w.txt | tail -n 1 | cut -d' ' -f2)"; \
+	  done; \
+	  echo; \
+	done
 
 # Simulated results are part of the model: the default-seed run of every
 # engine x isolation level must reproduce the committed golden output

@@ -41,3 +41,8 @@ val stats : t -> stats
 
 val iter : t -> (int -> int -> unit) -> unit
 (** All entries in key order. *)
+
+val reference_image : t -> block:int -> bytes
+(** The image of [block]'s node as the allocate-and-fill encoder builds
+    it: the reference the in-frame node writes must match byte for
+    byte. Tests only. *)

@@ -88,7 +88,7 @@ multicore:
 	mkdir -p _obs
 	dune exec bench/main.exe -- multicore --bench-out _obs/BENCH_multicore.json
 	dune exec bin/sias_cli.exe -- run -e sias-v --domains 2 -w 1 -d 10 \
-	  --scale-div 300 --check-si
+	  --scale-div 300 --flush t1 --index paged --check-si
 	@echo "multicore OK: _obs/BENCH_multicore.json"
 
 demo:

@@ -928,7 +928,6 @@ let write_bench_json ~full ~wall_s sections path =
 
 let multicore_bench c =
   section "Multicore: sharded TPC-C on OCaml 5 domains (weak scaling)";
-  let module MC = Tpcc.Tpcc_multicore in
   let engines = if c.full then [ "si"; "si-cv"; "sias"; "sias-v" ] else [ "sias-v" ] in
   let domain_counts = if c.full then [ 1; 2; 4; 8 ] else [ 1; 2; 4 ] in
   note "host: %d recommended domains" (Domain.recommended_domain_count ());
@@ -939,36 +938,34 @@ let multicore_bench c =
         let base_notpm = ref 0.0 in
         List.map
           (fun domains ->
-            let cfg = MC.default_config ~engine ~domains ~warehouses_per_domain:1 in
-            let cfg =
+            let setup =
               {
-                cfg with
-                MC.base =
-                  { cfg.MC.base with W.duration_s = (if c.full then 300.0 else 60.0) };
+                (default_setup ~engine ~warehouses:1) with
+                duration_s = (if c.full then 300.0 else 60.0);
+                check_si = true;
               }
             in
-            let r = MC.run cfg in
-            if domains = 1 then base_notpm := r.MC.agg_notpm;
+            let r = run_sharded ~domains setup in
+            if domains = 1 then base_notpm := r.agg_notpm;
             let speedup =
-              if !base_notpm > 0.0 then r.MC.agg_notpm /. !base_notpm else 0.0
+              if !base_notpm > 0.0 then r.agg_notpm /. !base_notpm else 0.0
             in
-            violations := !violations + r.MC.violations;
+            violations := !violations + r.violations;
             note
               "  %-7s domains=%d  agg %7.0f NOTPM (%.2fx vs 1 domain)  wall %6.2fs \
                %7.0f NOTPM-wall  violations %d"
-              engine domains r.MC.agg_notpm speedup r.MC.wall_s r.MC.wall_notpm
-              r.MC.violations;
+              engine domains r.agg_notpm speedup r.wall_s r.wall_notpm r.violations;
             ( Printf.sprintf "%s/d%d" engine domains,
               [
                 ("domains", float_of_int domains);
-                ("warehouses_per_domain", float_of_int cfg.MC.base.W.warehouses);
-                ("agg_notpm", r.MC.agg_notpm);
+                ("warehouses_per_domain", float_of_int setup.warehouses);
+                ("agg_notpm", r.agg_notpm);
                 ("notpm_scaling_vs_1domain", speedup);
-                ("wall_s", r.MC.wall_s);
-                ("wall_notpm", r.MC.wall_notpm);
-                ("total_committed", float_of_int r.MC.total_committed);
-                ("new_orders", float_of_int r.MC.total_new_orders);
-                ("violations", float_of_int r.MC.violations);
+                ("wall_s", r.wall_s);
+                ("wall_notpm", r.wall_notpm);
+                ("total_committed", float_of_int r.committed);
+                ("new_orders", float_of_int r.new_orders);
+                ("violations", float_of_int r.violations);
               ] ))
           domain_counts)
       engines

@@ -61,26 +61,15 @@ let domains_arg =
            are per domain, TPC-C weak scaling). 1 runs the exact single-domain \
            deterministic path.")
 
-(* --domains N (N > 1): shared-nothing multicore run. Each domain owns
-   its warehouse range and its own Db outright. A shard's Db is built
-   from the workload, engine, isolation and buffer size alone, so every
-   other run flag (device/fault/replication topology, flushing, commit
-   pipeline, per-run observability artifacts) is rejected loudly rather
-   than silently ignored. *)
+(* --domains N (N > 1): every shard is the single-domain run of its own
+   warehouses, so every run flag applies per shard. Only the run-phase
+   artifacts are refused: N shards would write one file or interleave
+   on stderr. *)
 let run_multicore ~domains s =
-  let module MC = Tpcc.Tpcc_multicore in
   let unsupported =
     List.filter_map
       (fun (flag, bad) -> if bad then Some flag else None)
       [
-        ("--index paged", s.index <> "array");
-        ("--wal-device", s.wal_device <> None);
-        ("--repl", s.repl_mode <> None);
-        ("--faults", s.fault_seed <> None);
-        ("--device", s.device <> Ssd_single);
-        ("--flush", s.flush <> T2);
-        ("--synchronous-commit", not s.synchronous_commit);
-        ("--commit-delay", s.commit_delay_s > 0.0);
         ("--metrics-out", s.metrics_out <> None);
         ("--trace-out", s.trace_out <> None);
         ("--stats-interval", s.stats_interval_s <> None);
@@ -90,20 +79,10 @@ let run_multicore ~domains s =
     Format.printf "--domains > 1 does not support: %s@." (String.concat ", " unsupported);
     exit 2
   end;
-  let r =
-    MC.run
-      {
-        MC.engine = s.engine;
-        domains;
-        base = workload_config s;
-        isolation = Mvcc.Isolation.of_string_exn s.isolation;
-        buffer_pages = s.buffer_pages;
-        check = s.check_si;
-      }
-  in
-  Format.printf "%a@." MC.pp_result r;
-  if r.MC.violations > 0 then begin
-    Format.printf "FAIL: %d snapshot-isolation violations@." r.MC.violations;
+  let r = run_sharded ~domains s in
+  Format.printf "%a@." pp_sharded r;
+  if r.violations > 0 then begin
+    Format.printf "FAIL: %d checker violations@." r.violations;
     exit 1
   end
 

@@ -170,16 +170,3 @@ let explore cfg fresh =
     failures = List.rev !failures;
     truncated = !truncated;
   }
-
-let pp_report fmt r =
-  Format.fprintf fmt "crash points (workload): %d | (recovery): %d@."
-    (List.length r.points)
-    (List.length r.recovery_points);
-  Format.fprintf fmt "schedules run: %d%s | failures: %d@." r.schedules_run
-    (if r.truncated then " (truncated)" else "")
-    (List.length r.failures);
-  List.iter
-    (fun f ->
-      Format.fprintf fmt "  FAIL %s: %s@." (schedule_to_string f.schedule)
-        f.error)
-    r.failures

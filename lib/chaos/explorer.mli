@@ -53,4 +53,3 @@ val explore : config -> (unit -> session) -> report
     {!Crashpoint} disarmed on return.  Raises [Failure] if the census
     pass itself cannot complete and verify cleanly. *)
 
-val pp_report : Format.formatter -> report -> unit

@@ -60,9 +60,6 @@ val trim : t -> sector:int -> bytes:int -> unit
     paper's Section 6 attributes to DBMS-driven reclamation); other
     devices ignore it. *)
 
-val of_ssd : ?name:string -> Ssd.t -> t
-val of_hdd : ?name:string -> Hdd.t -> t
-
 val raid0 : ?name:string -> ?chunk_sectors:int -> t list -> t
 (** Stripe over member devices; a request spanning several chunks is split
     and completes when the slowest member finishes. Member traces record

@@ -194,7 +194,7 @@ let write_text_file path contents =
   output_string oc contents;
   close_out oc
 
-let run_tpcc setup =
+let prepare setup =
   let _, (module E : Mvcc.Engine.S) = Mvcc.Engine.resolve_exn setup.engine in
   let module WE = W.Make (E) in
   let faults =
@@ -294,160 +294,252 @@ let run_tpcc setup =
   (* metrics and trace cover exactly what the block trace covers: the
      measured run, not the bulk load *)
   Option.iter Metrics.reset metrics;
-  let tracer =
-    Option.map (fun _ -> Tracer.attach ~clock:db.Db.clock bus) setup.trace_out
-  in
-  (* the classifier subscribes only on request: it covers exactly the
-     measured run (the trace was just reset), and golden runs must not
-     activate the bus *)
-  let index_flush_cells =
-    if setup.measure_index_io then begin
-      let rels =
-        List.sort_uniq compare
-          (List.concat_map
-             (fun (_, l) -> List.map (fun s -> s.Mvcc.Index.s_rel) l)
-             (E.index_summary eng))
-      in
-      let page_mb =
-        float_of_int (Bufpool.page_size db.Db.pool) /. (1024.0 *. 1024.0)
-      in
-      let ix_mb = ref 0.0 and ix_n = ref 0 and hp_mb = ref 0.0 and hp_n = ref 0 in
-      Bus.subscribe bus (function
-        | Bus.Page_flush { rel; _ } ->
-            if List.mem rel rels then begin
-              ix_mb := !ix_mb +. page_mb;
-              incr ix_n
-            end
-            else begin
-              hp_mb := !hp_mb +. page_mb;
-              incr hp_n
-            end
-        | _ -> ());
-      Some (ix_mb, ix_n, hp_mb, hp_n)
-    end
-    else None
-  in
-  let result = WE.run eng tables cfg in
-  Bufpool.flush_os_cache db.Db.pool;
-  let tables_list =
-    [
-      tables.WE.warehouse;
-      tables.WE.district;
-      tables.WE.customer;
-      tables.WE.history;
-      tables.WE.new_order;
-      tables.WE.orders;
-      tables.WE.order_line;
-      tables.WE.item;
-      tables.WE.stock;
-    ]
-  in
-  let stats = List.map (E.table_stats eng) tables_list in
-  let heap_pages =
-    List.fold_left (fun acc s -> acc + s.Mvcc.Engine.heap_blocks) 0 stats
-  in
-  let avg_fill =
-    let fills = List.filter_map
-      (fun s -> if s.Mvcc.Engine.heap_blocks > 0 then Some s.Mvcc.Engine.avg_fill else None)
-      stats
+  (* the measured phase: everything above is build, load and settle *)
+  fun () ->
+    let tracer =
+      Option.map (fun _ -> Tracer.attach ~clock:db.Db.clock bus) setup.trace_out
     in
-    if fills = [] then 0.0
-    else List.fold_left ( +. ) 0.0 fills /. float_of_int (List.length fills)
+    (* the classifier subscribes only on request: it covers exactly the
+       measured run (the trace was just reset), and golden runs must not
+       activate the bus *)
+    let index_flush_cells =
+      if setup.measure_index_io then begin
+        let rels =
+          List.sort_uniq compare
+            (List.concat_map
+               (fun (_, l) -> List.map (fun s -> s.Mvcc.Index.s_rel) l)
+               (E.index_summary eng))
+        in
+        let page_mb =
+          float_of_int (Bufpool.page_size db.Db.pool) /. (1024.0 *. 1024.0)
+        in
+        let ix_mb = ref 0.0 and ix_n = ref 0 and hp_mb = ref 0.0 and hp_n = ref 0 in
+        Bus.subscribe bus (function
+          | Bus.Page_flush { rel; _ } ->
+              if List.mem rel rels then begin
+                ix_mb := !ix_mb +. page_mb;
+                incr ix_n
+              end
+              else begin
+                hp_mb := !hp_mb +. page_mb;
+                incr hp_n
+              end
+          | _ -> ());
+        Some (ix_mb, ix_n, hp_mb, hp_n)
+      end
+      else None
+    in
+    let result = WE.run eng tables cfg in
+    Bufpool.flush_os_cache db.Db.pool;
+    let tables_list =
+      [
+        tables.WE.warehouse;
+        tables.WE.district;
+        tables.WE.customer;
+        tables.WE.history;
+        tables.WE.new_order;
+        tables.WE.orders;
+        tables.WE.order_line;
+        tables.WE.item;
+        tables.WE.stock;
+      ]
+    in
+    let stats = List.map (E.table_stats eng) tables_list in
+    let heap_pages =
+      List.fold_left (fun acc s -> acc + s.Mvcc.Engine.heap_blocks) 0 stats
+    in
+    let avg_fill =
+      let fills = List.filter_map
+        (fun s -> if s.Mvcc.Engine.heap_blocks > 0 then Some s.Mvcc.Engine.avg_fill else None)
+        stats
+      in
+      if fills = [] then 0.0
+      else List.fold_left ( +. ) 0.0 fills /. float_of_int (List.length fills)
+    in
+    (* one last drain so the sender ships the final flushed tail and the
+       reported lag reflects link latency, not an unticked send cursor *)
+    Option.iter (fun _ -> Db.tick db) repl;
+    (* artifacts are written after the table_stats scans so their device
+       counters cover exactly the window the block-trace counters report;
+       reliability counters (device-model info including dropped trace
+       records and fault/retry/repair tallies, buffer-pool repair stats)
+       are exported into the same registry first so Prometheus/JSON
+       artifacts carry them *)
+    (match metrics with
+    | Some m ->
+        Sias_obs.Recorder.export_reliability m ~scope:"data-device"
+          (Device.info device);
+        Option.iter
+          (fun d ->
+            Sias_obs.Recorder.export_reliability m ~scope:"wal-device"
+              (Device.info d))
+          wal_device;
+        let bs = Bufpool.stats db.Db.pool in
+        Sias_obs.Recorder.export_reliability m ~scope:"bufpool"
+          [
+            ("read_retries", float_of_int bs.Bufpool.read_retries);
+            ("checksum_failures", float_of_int bs.Bufpool.checksum_failures);
+            ("pages_repaired", float_of_int bs.Bufpool.pages_repaired);
+            ("torn_pages", float_of_int bs.Bufpool.torn_pages);
+          ]
+    | None -> ());
+    (* the standby's install counter lives on the standby's (unobserved)
+       bus; fold the end-of-run replication stats into the same registry so
+       the artifact lets lag reconcile against records shipped *)
+    (match (repl, metrics) with
+    | Some r, Some m ->
+        let rs = Repl.stats r in
+        Sias_obs.Recorder.export_reliability m ~scope:"repl"
+          [
+            ("installed_records", float_of_int rs.Repl.installed_records);
+            ("installed_lsn", float_of_int rs.Repl.installed_lsn);
+            ("lag_records", float_of_int rs.Repl.lag_records);
+            ("retransmits", float_of_int rs.Repl.retransmits);
+            ("degraded_acks", float_of_int rs.Repl.degraded_acks);
+          ]
+    | _ -> ());
+    (match (setup.metrics_out, metrics) with
+    | Some path, Some m -> write_text_file path (Metrics.to_prometheus m)
+    | _ -> ());
+    (match (setup.trace_out, tracer) with
+    | Some path, Some tr -> Tracer.write_file tr path
+    | _ -> ());
+    {
+      setup;
+      result;
+      load_write_mb;
+      run_write_mb = Blocktrace.write_mb trace;
+      run_read_mb = Blocktrace.read_mb trace;
+      run_write_count = Blocktrace.write_count trace;
+      run_read_count = Blocktrace.read_count trace;
+      space_mb = float_of_int (heap_pages * 8192) /. (1024.0 *. 1024.0);
+      avg_fill;
+      device_info = Device.info device;
+      buf_stats = Bufpool.stats db.Db.pool;
+      trace;
+      contention_stats = Sias_txn.Contention.stats db.Db.contention;
+      commit_stats = Commitpipe.stats db.Db.commitpipe;
+      wal_write_mb =
+        (match wal_device with
+        | Some d -> Blocktrace.write_mb (Device.trace d)
+        | None -> 0.0);
+      checker;
+      metrics;
+      repl_stats = Option.map Repl.stats repl;
+      index_io =
+        (match index_flush_cells with
+        | None -> None
+        | Some (ix_mb, ix_n, hp_mb, hp_n) ->
+            let summaries = List.concat_map snd (E.index_summary eng) in
+            let sum f = List.fold_left (fun acc s -> acc + f s) 0 summaries in
+            Some
+              {
+                ix_flush_mb = !ix_mb;
+                ix_flush_count = !ix_n;
+                heap_flush_mb = !hp_mb;
+                heap_flush_count = !hp_n;
+                ix_logical_mb =
+                  float_of_int (sum (fun s -> s.Mvcc.Index.s_inserts) * 16)
+                  /. (1024.0 *. 1024.0);
+                ix_entries = sum (fun s -> s.Mvcc.Index.s_entries);
+                ix_nodes = sum (fun s -> s.Mvcc.Index.s_nodes);
+                ix_height =
+                  List.fold_left
+                    (fun acc s -> Stdlib.max acc s.Mvcc.Index.s_height)
+                    0 summaries;
+                ix_splits = sum (fun s -> s.Mvcc.Index.s_splits);
+                ix_merges = sum (fun s -> s.Mvcc.Index.s_merges);
+              });
+    }
+
+let run_tpcc setup = prepare setup ()
+
+(* Sharded TPC-C on OCaml 5 domains, TPC-C's own weak scaling: shard [d]
+   runs [run_tpcc]'s database with its own warehouses 1..[warehouses],
+   standing for global warehouses [d*warehouses+1 .. (d+1)*warehouses].
+   Engine, pool, WAL, devices, bus and checker are private to the shard
+   (shared-nothing); TPC-C partitions exactly, so the per-shard checker
+   is a complete oracle. Nothing crosses domains but the start barrier
+   and the outputs returned on join, so each shard is a pure function of
+   its setup whatever the scheduling. *)
+
+type sharded = {
+  shards : output array;
+  wall_s : float;
+  committed : int;
+  new_orders : int;
+  agg_notpm : float;
+  wall_notpm : float;
+  violations : int;
+}
+
+let checker_failures o =
+  match o.checker with
+  | None -> 0
+  | Some c ->
+      Mvcc.Sichecker.violation_count c
+      + if o.setup.isolation <> "si" then Mvcc.Sichecker.cycle_count c else 0
+
+(* Shard 0 runs the setup unchanged; shard d >= 1 draws each seed the
+   setup carries from its own stream of the setup's seed, since a shared
+   stream would silently correlate the shards' workloads and faults. *)
+let shard_setups ~domains setup =
+  let streams =
+    Array.init domains (fun d -> Sias_util.Rng.stream ~seed:setup.seed ~stream:d)
   in
-  (* one last drain so the sender ships the final flushed tail and the
-     reported lag reflects link latency, not an unticked send cursor *)
-  Option.iter (fun _ -> Db.tick db) repl;
-  (* artifacts are written after the table_stats scans so their device
-     counters cover exactly the window the block-trace counters report;
-     reliability counters (device-model info including dropped trace
-     records and fault/retry/repair tallies, buffer-pool repair stats)
-     are exported into the same registry first so Prometheus/JSON
-     artifacts carry them *)
-  (match metrics with
-  | Some m ->
-      Sias_obs.Recorder.export_reliability m ~scope:"data-device"
-        (Device.info device);
-      Option.iter
-        (fun d ->
-          Sias_obs.Recorder.export_reliability m ~scope:"wal-device"
-            (Device.info d))
-        wal_device;
-      let bs = Bufpool.stats db.Db.pool in
-      Sias_obs.Recorder.export_reliability m ~scope:"bufpool"
-        [
-          ("read_retries", float_of_int bs.Bufpool.read_retries);
-          ("checksum_failures", float_of_int bs.Bufpool.checksum_failures);
-          ("pages_repaired", float_of_int bs.Bufpool.pages_repaired);
-          ("torn_pages", float_of_int bs.Bufpool.torn_pages);
-        ]
-  | None -> ());
-  (* the standby's install counter lives on the standby's (unobserved)
-     bus; fold the end-of-run replication stats into the same registry so
-     the artifact lets lag reconcile against records shipped *)
-  (match (repl, metrics) with
-  | Some r, Some m ->
-      let rs = Repl.stats r in
-      Sias_obs.Recorder.export_reliability m ~scope:"repl"
-        [
-          ("installed_records", float_of_int rs.Repl.installed_records);
-          ("installed_lsn", float_of_int rs.Repl.installed_lsn);
-          ("lag_records", float_of_int rs.Repl.lag_records);
-          ("retransmits", float_of_int rs.Repl.retransmits);
-          ("degraded_acks", float_of_int rs.Repl.degraded_acks);
-        ]
-  | _ -> ());
-  (match (setup.metrics_out, metrics) with
-  | Some path, Some m -> write_text_file path (Metrics.to_prometheus m)
-  | _ -> ());
-  (match (setup.trace_out, tracer) with
-  | Some path, Some tr -> Tracer.write_file tr path
-  | _ -> ());
+  Sias_util.Rng.assert_independent streams;
+  Array.mapi
+    (fun d rng ->
+      if d = 0 then setup
+      else
+        let draw () = Int64.to_int (Sias_util.Rng.int64 rng) land max_int in
+        let seed = draw () in
+        let fault_seed = Option.map (fun _ -> draw ()) setup.fault_seed in
+        let repl_seed = draw () in
+        let contention = { Sias_txn.Contention.seed = draw () } in
+        { setup with seed; fault_seed; repl_seed; contention })
+    streams
+
+let run_sharded ~domains setup =
+  if domains < 1 then invalid_arg "Experiments.run_sharded: domains must be >= 1";
+  let setups = shard_setups ~domains setup in
+  let barrier = Sias_util.Domainpool.Barrier.create domains in
+  let shard d =
+    (* a shard that fails to build still reaches the barrier, so the
+       others are not left waiting for it *)
+    let measure =
+      match prepare setups.(d) with
+      | m -> Ok m
+      | exception e -> Error (e, Printexc.get_raw_backtrace ())
+    in
+    Sias_util.Domainpool.Barrier.wait barrier;
+    match measure with
+    | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+    | Ok measure ->
+        let start = Sias_util.Monotime.now () in
+        let o = measure () in
+        (o, start, Sias_util.Monotime.now ())
+  in
+  let runs = Sias_util.Domainpool.run ~domains shard in
+  let shards = Array.map (fun (o, _, _) -> o) runs in
+  let first_start = Array.fold_left (fun a (_, t, _) -> Float.min a t) infinity runs in
+  let last_stop = Array.fold_left (fun a (_, _, t) -> Float.max a t) neg_infinity runs in
+  let wall_s = Float.max (last_stop -. first_start) 1e-9 in
+  let sum f = Array.fold_left (fun a o -> a + f o) 0 shards in
+  let new_orders =
+    sum (fun o ->
+        match List.assoc_opt W.New_order o.result.W.per_kind with
+        | Some ks -> ks.W.committed
+        | None -> 0)
+  in
   {
-    setup;
-    result;
-    load_write_mb;
-    run_write_mb = Blocktrace.write_mb trace;
-    run_read_mb = Blocktrace.read_mb trace;
-    run_write_count = Blocktrace.write_count trace;
-    run_read_count = Blocktrace.read_count trace;
-    space_mb = float_of_int (heap_pages * 8192) /. (1024.0 *. 1024.0);
-    avg_fill;
-    device_info = Device.info device;
-    buf_stats = Bufpool.stats db.Db.pool;
-    trace;
-    contention_stats = Sias_txn.Contention.stats db.Db.contention;
-    commit_stats = Commitpipe.stats db.Db.commitpipe;
-    wal_write_mb =
-      (match wal_device with
-      | Some d -> Blocktrace.write_mb (Device.trace d)
-      | None -> 0.0);
-    checker;
-    metrics;
-    repl_stats = Option.map Repl.stats repl;
-    index_io =
-      (match index_flush_cells with
-      | None -> None
-      | Some (ix_mb, ix_n, hp_mb, hp_n) ->
-          let summaries = List.concat_map snd (E.index_summary eng) in
-          let sum f = List.fold_left (fun acc s -> acc + f s) 0 summaries in
-          Some
-            {
-              ix_flush_mb = !ix_mb;
-              ix_flush_count = !ix_n;
-              heap_flush_mb = !hp_mb;
-              heap_flush_count = !hp_n;
-              ix_logical_mb =
-                float_of_int (sum (fun s -> s.Mvcc.Index.s_inserts) * 16)
-                /. (1024.0 *. 1024.0);
-              ix_entries = sum (fun s -> s.Mvcc.Index.s_entries);
-              ix_nodes = sum (fun s -> s.Mvcc.Index.s_nodes);
-              ix_height =
-                List.fold_left
-                  (fun acc s -> Stdlib.max acc s.Mvcc.Index.s_height)
-                  0 summaries;
-              ix_splits = sum (fun s -> s.Mvcc.Index.s_splits);
-              ix_merges = sum (fun s -> s.Mvcc.Index.s_merges);
-            });
+    shards;
+    wall_s;
+    committed = sum (fun o -> o.result.W.total_committed);
+    new_orders;
+    agg_notpm = Array.fold_left (fun a o -> a +. o.result.W.notpm) 0.0 shards;
+    wall_notpm = float_of_int new_orders *. 60.0 /. wall_s;
+    violations = sum checker_failures;
   }
 
 let pp_output_summary fmt o =
@@ -457,3 +549,19 @@ let pp_output_summary fmt o =
     (match o.setup.flush with T1 -> "t1" | T2 -> "t2")
     o.setup.warehouses o.result.W.elapsed_s o.result.W.notpm o.run_write_mb
     o.run_write_count o.run_read_mb o.run_read_count o.space_mb (100.0 *. o.avg_fill)
+
+let pp_sharded ppf r =
+  let s = r.shards.(0).setup in
+  Format.fprintf ppf "@[<v>multicore tpcc: engine=%s domains=%d warehouses/domain=%d@,"
+    s.engine (Array.length r.shards) s.warehouses;
+  Array.iteri
+    (fun d o ->
+      Format.fprintf ppf
+        "  domain %d (warehouses %d-%d): %.0f NOTPM, %d committed, %d violations@,"
+        d ((d * s.warehouses) + 1) ((d + 1) * s.warehouses) o.result.W.notpm
+        o.result.W.total_committed (checker_failures o))
+    r.shards;
+  Format.fprintf ppf
+    "  aggregate: %.0f NOTPM (sim), %.0f NOTPM (wall over %.2fs), %d committed, \
+     %d new-orders, %d violations@]"
+    r.agg_notpm r.wall_notpm r.wall_s r.committed r.new_orders r.violations

@@ -98,11 +98,6 @@ val default_setup : engine:string -> warehouses:int -> setup
 (** Single SSD, T2, 2048 buffer pages, 1/100 scale, 60 s, 1 terminal/WH,
     1 s think time; no observability outputs. *)
 
-val workload_config : setup -> Tpcc.Tpcc_workload.config
-(** The TPC-C driver configuration a setup asks for (warehouses, scale,
-    duration, terminals, think time, seed, GC interval, client retries);
-    also the per-domain base of a sharded multicore run. *)
-
 (* Index-vs-heap split of the run's page-flush traffic plus the index's
    logical volume; the ratio ix_flush_mb / ix_logical_mb is the index
    write amplification the bench reports. *)
@@ -156,6 +151,39 @@ type output = {
           measured run (same window as the block trace) *)
 }
 
+val prepare : setup -> unit -> output
+(** [prepare s] builds the database [s] asks for, loads it and settles it
+    (flushes the load, resets the block trace and the run-phase
+    counters), then returns the measured phase: calling it once runs the
+    workload to the simulated deadline and reports. *)
+
 val run_tpcc : setup -> output
+(** [run_tpcc s = prepare s ()]. *)
+
+(** A TPC-C run sharded across OCaml 5 domains (weak scaling: [warehouses]
+    is per shard). Each shard runs {!prepare}'s database, shared-nothing;
+    every shard has loaded before any measured phase starts. *)
+type sharded = {
+  shards : output array;
+      (** shard [d]'s output. Shard 0 ran the setup unchanged, so it is
+          the single-domain run; shard [d >= 1] drew [seed], [fault_seed],
+          [repl_seed] and [contention.seed] from
+          [Sias_util.Rng.stream ~seed ~stream:d]. *)
+  wall_s : float;  (** host wall window: last measured stop - first start *)
+  committed : int;
+  new_orders : int;
+  agg_notpm : float;  (** sum of the shards' simulated NOTPM *)
+  wall_notpm : float;  (** committed new-orders * 60 / [wall_s] *)
+  violations : int;
+      (** checker violations over all shards, plus dependency cycles under
+          a serializable level; 0 without [check_si] *)
+}
+
+val run_sharded : domains:int -> setup -> sharded
+(** [domains = 1] runs inline on the calling domain. Raises
+    [Invalid_argument] when [domains < 1]; a shard's exception is
+    re-raised after every domain has joined. *)
+
+val pp_sharded : Format.formatter -> sharded -> unit
 
 val pp_output_summary : Format.formatter -> output -> unit

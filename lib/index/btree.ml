@@ -23,10 +23,10 @@ type node = {
 type t = {
   pool : Sias_storage.Bufpool.t;
   rel : int;
-  (* decoded-node cache: avoids re-decoding the fixed-size image on every
-     access. Page I/O is still charged through the buffer pool; the cache
-     only skips deserialization. Invalidated by node writes (same instance)
-     and never shared across instances (recovery builds a fresh tree). *)
+  (* every node of the tree: [write_node] caches each node as it writes
+     it and nothing evicts, so no read decodes a page image. Page I/O is
+     still charged through the buffer pool. Never shared across instances
+     (recovery builds a fresh tree). *)
   cache : (int, node) Hashtbl.t;
   mutable root : int;
   mutable nblocks : int;
@@ -91,37 +91,17 @@ let encode node =
     done;
   b
 
-let decode b off =
-  let leaf = Bytes.get_uint8 b off = 0 in
-  let node = blank_node ~leaf in
-  node.n <- Bytes.get_uint16_le b (off + 1);
-  node.next_leaf <- Int64.to_int (Bytes.get_int64_le b (off + 3)) - 1;
-  let pos = ref (off + 11) in
-  for i = 0 to node.n - 1 do
-    node.keys.(i) <- Int64.to_int (Bytes.get_int64_le b !pos);
-    node.payloads.(i) <- Int64.to_int (Bytes.get_int64_le b (!pos + 8));
-    pos := !pos + 16
-  done;
-  if not leaf then
-    for i = 0 to node.n do
-      node.children.(i) <- Int64.to_int (Bytes.get_int64_le b !pos);
-      pos := !pos + 8
-    done;
-  node
-
 let image_offset page =
   let off = Sias_storage.Page.item_offset page 0 in
   if off < 0 then failwith "Btree: missing node image";
   off
 
+(* The pin charges the page access (the pool's hit/miss sequence is
+   simulated behaviour); the node itself comes from the cache, which
+   holds every node ever written. *)
 let read_node t block =
-  Sias_storage.Bufpool.with_page t.pool ~rel:t.rel ~block (fun page ->
-      match Hashtbl.find_opt t.cache block with
-      | Some node -> node
-      | None ->
-          let node = decode (Sias_storage.Page.buffer page) (image_offset page) in
-          Hashtbl.replace t.cache block node;
-          node)
+  Sias_storage.Bufpool.with_page t.pool ~rel:t.rel ~block (fun _ ->
+      Hashtbl.find t.cache block)
 
 (* A fresh node page takes its slot-0 item from this shared zero image
    ([Page.insert] copies it), then is written in place like any other. *)

@@ -203,13 +203,6 @@ val crash : t -> unit
 val degraded : t -> string option
 (** [Some reason] while in read-only degraded mode. *)
 
-val append_wal :
-  t -> xid:int -> rel:int -> kind:Sias_wal.Wal.kind -> payload:bytes -> int
-(** One WAL append attempt. On [Wal.Out_of_space] enter degraded mode
-    and raise {!Read_only} — the log is never reclaimed inside an
-    operation (see {!begin_txn}). Raises {!Read_only} immediately when
-    already degraded. *)
-
 val log_op :
   t ->
   xid:int ->

@@ -12,11 +12,6 @@ module Hint = struct
   let none = 0
   let committed = 1
   let aborted = 2
-
-  (* Byte-level masks for the MSB of an int64 timestamp field. *)
-  let committed_bit = 0x40
-  let aborted_bit = 0x80
-  let bits_of h = h lsl 6
 end
 
 (* Timestamp value with hint bits masked off. Composed from uint16 reads

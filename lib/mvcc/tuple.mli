@@ -25,15 +25,6 @@ module Hint : sig
   val none : int
   val committed : int
   val aborted : int
-
-  val committed_bit : int
-  (** Byte mask (0x40) for "known committed" in a timestamp MSB. *)
-
-  val aborted_bit : int
-  (** Byte mask (0x80) for "known aborted" in a timestamp MSB. *)
-
-  val bits_of : int -> int
-  (** Byte mask for a 2-bit hint value ([bits_of committed = 0x40]). *)
 end
 
 module Si : sig

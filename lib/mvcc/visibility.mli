@@ -8,9 +8,6 @@
     first visible version found walking the chain from the entrypoint is
     the answer, because chain order is reverse-chronological. *)
 
-val creator_visible : Sias_txn.Txn.mgr -> Sias_txn.Snapshot.t -> int -> bool
-(** The shared creation-side predicate. *)
-
 val si_visible :
   Sias_txn.Txn.mgr -> Sias_txn.Snapshot.t -> Tuple.Si.header -> bool
 (** Creator visible and not invalidated by a visible transaction. *)

@@ -669,11 +669,6 @@ let image_lsn t ~rel ~block =
   | Some image when Page.checksum_ok image -> Some (Page.lsn image)
   | Some _ | None -> None
 
-let dirty_keys t =
-  Array.to_list t.frames
-  |> List.filter_map (fun f ->
-         if f.used && f.dirty then Some (f.key.rel, f.key.block) else None)
-
 let trim_block t ~rel ~block =
   (* the discard is durable at once: so must be every record before it *)
   t.wal_gate max_int;

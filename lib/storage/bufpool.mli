@@ -162,9 +162,6 @@ val image_lsn : t -> rel:int -> block:int -> int option
 (** The page LSN of the on-device image of the block, when one exists
     and its checksum verifies. *)
 
-val dirty_keys : t -> (int * int) list
-(** (rel, block) of every dirty resident frame; for tests/debugging. *)
-
 val flush_os_cache : t -> unit
 (** Force the OS page-cache model's pending writes out to the device (the
     equivalent of sync(2)). No-op without [os_cache_interval]. With the

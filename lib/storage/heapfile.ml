@@ -321,5 +321,4 @@ let discard_block t block =
   end
 
 let discarded t block = block >= 0 && block < t.nblocks && t.discarded.(block)
-let discarded_count t = t.n_discarded
 let live_blocks t = t.nblocks - t.n_discarded

@@ -103,7 +103,6 @@ val discard_block : t -> int -> unit
     space accounting. Raises on the current append tail. *)
 
 val discarded : t -> int -> bool
-val discarded_count : t -> int
 
 val live_blocks : t -> int
 (** [nblocks] minus discarded blocks: the space-consumption metric. *)

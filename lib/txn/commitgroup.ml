@@ -49,9 +49,6 @@ let register t ~now ~xid ~lsn =
           { opened_at = now; deadline = now +. t.delay; members = [ m ]; high_lsn = lsn });
   seq
 
-let open_deadline t = Option.map (fun g -> g.deadline) t.current
-let open_size t = match t.current with None -> 0 | Some g -> List.length g.members
-
 let take_due t ~upto =
   match t.current with
   | Some g when g.deadline <= upto ->

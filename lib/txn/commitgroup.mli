@@ -36,11 +36,6 @@ val register : t -> now:float -> xid:int -> lsn:int -> int
     {!drain_resolved}. The caller must close an overdue group first —
     {!register} never extends a deadline. *)
 
-val open_deadline : t -> float option
-(** Deadline of the currently open group, if any. *)
-
-val open_size : t -> int
-
 val take_due : t -> upto:float -> group option
 (** Detach the open group if its deadline is at or before [upto]
     ([upto = infinity] force-closes); the caller fsyncs and then calls

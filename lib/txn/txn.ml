@@ -129,8 +129,6 @@ let horizon mgr =
 let visible mgr snap c =
   c = snap.Snapshot.xid || (Snapshot.sees_xid snap c && is_committed mgr c)
 
-let set_next_xid mgr xid = mgr.next_xid <- Stdlib.max mgr.next_xid xid
-
 let mark_recovered mgr ~xid ~committed =
   clog_set mgr xid (if committed then 2 else 3);
   if xid >= mgr.next_xid then mgr.next_xid <- xid + 1

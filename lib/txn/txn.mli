@@ -54,9 +54,6 @@ val visible : mgr -> Snapshot.t -> int -> bool
 (** [visible mgr snap c]: the full SI visibility predicate for a version
     created by [c] — own write, or snapshot-visible and committed. *)
 
-val set_next_xid : mgr -> int -> unit
-(** Recovery: restore the xid counter from the log. *)
-
 val mark_recovered : mgr -> xid:int -> committed:bool -> unit
 (** Recovery: record the final status of a transaction found in the log.
     Transactions with no commit record are implicitly aborted. *)

@@ -23,7 +23,6 @@ module Acc = struct
   let count t = t.n
   let mean t = if t.n = 0 then 0.0 else t.mean
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
   let min t = t.min
   let max t = t.max
   let total t = t.total
@@ -86,10 +85,6 @@ module Sample = struct
       if t.data.(i) > !m then m := t.data.(i)
     done;
     !m
-
-  let to_array t =
-    ensure_sorted t;
-    Array.sub t.data 0 t.len
 end
 
 module Counter = struct

@@ -14,7 +14,6 @@ module Acc : sig
   val variance : t -> float
   (** Sample variance; 0. with fewer than two observations. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** [infinity] when empty. *)
 
@@ -37,8 +36,6 @@ module Sample : sig
 
   val mean : t -> float
   val max : t -> float
-  val to_array : t -> float array
-  (** Sorted copy of the observations. *)
 end
 
 (** Named monotonic event counter; the reliability layer (fault injection,

@@ -35,8 +35,6 @@ type kind =
           whole split redoes or none of it ({!Mvcc.Walcodec} owns the
           payload codec) *)
 
-val kind_to_string : kind -> string
-
 type record = {
   lsn : int;
   xid : int;

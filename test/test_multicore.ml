@@ -6,8 +6,7 @@ open Sias_util
 module Bus = Sias_obs.Bus
 module Txn = Sias_txn.Txn
 module W = Tpcc.Tpcc_workload
-module MC = Tpcc.Tpcc_multicore
-module S = Tpcc.Tpcc_schema
+module E = Harness.Experiments
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -183,66 +182,83 @@ let test_bus_owner_assertion () =
 (* ------------------------------------------------------------------ *)
 (* Multicore TPC-C with the checker as oracle *)
 
-let quick_mc ~engine ~domains ~seed =
-  let base =
-    {
-      (W.default_config ~warehouses:1) with
-      W.scale = S.scaled ~div:300 ();
-      duration_s = 8.0;
-      seed;
-    }
-  in
+let quick_setup ~engine ~seed =
   {
-    (MC.default_config ~engine ~domains ~warehouses_per_domain:1) with
-    MC.base;
+    (E.default_setup ~engine ~warehouses:1) with
+    E.scale_div = 300;
+    duration_s = 8.0;
+    seed;
     buffer_pages = 512;
-    check = true;
+    check_si = true;
   }
 
 let test_multicore_tpcc_smoke () =
-  let r = MC.run (quick_mc ~engine:"sias-v" ~domains:2 ~seed:7) in
-  checki "two shards" 2 (Array.length r.MC.shards);
-  checki "checker clean" 0 r.MC.violations;
-  check "work happened" true (r.MC.total_committed > 0);
+  let r = E.run_sharded ~domains:2 (quick_setup ~engine:"sias-v" ~seed:7) in
+  checki "two shards" 2 (Array.length r.E.shards);
+  checki "checker clean" 0 r.E.violations;
+  check "work happened" true (r.E.committed > 0);
   check "every shard committed work" true
-    (Array.for_all (fun s -> s.MC.result.W.total_committed > 0) r.MC.shards);
+    (Array.for_all (fun o -> o.E.result.W.total_committed > 0) r.E.shards);
   check "aggregate notpm sums shards" true
     (let sum =
-       Array.fold_left (fun acc s -> acc +. s.MC.result.W.notpm) 0.0 r.MC.shards
+       Array.fold_left (fun acc o -> acc +. o.E.result.W.notpm) 0.0 r.E.shards
      in
-     abs_float (sum -. r.MC.agg_notpm) < 1e-6);
-  check "wall window is positive" true (r.MC.wall_s > 0.0)
+     abs_float (sum -. r.E.agg_notpm) < 1e-6);
+  check "wall window is positive" true (r.E.wall_s > 0.0)
 
 let test_multicore_shard_equals_single_domain () =
-  (* shared-nothing: shard 0 of a 2-domain run draws RNG stream 0, as the
-     1-domain run does, and shares nothing with shard 1 — so it must
-     reproduce the 1-domain run exactly *)
-  let one = MC.run (quick_mc ~engine:"sias-v" ~domains:1 ~seed:13) in
-  let two = MC.run (quick_mc ~engine:"sias-v" ~domains:2 ~seed:13) in
-  let a = one.MC.shards.(0).MC.result and b = two.MC.shards.(0).MC.result in
-  checki "same committed" a.W.total_committed b.W.total_committed;
-  checki "same aborted" a.W.total_aborted b.W.total_aborted;
-  Alcotest.(check (float 1e-9)) "same notpm" a.W.notpm b.W.notpm
+  (* shard 0 runs the setup unchanged and shares nothing with shard 1,
+     so it must reproduce the single-domain run exactly *)
+  let s = quick_setup ~engine:"sias-v" ~seed:13 in
+  let a = E.run_tpcc s and b = (E.run_sharded ~domains:2 s).E.shards.(0) in
+  checki "same committed" a.E.result.W.total_committed b.E.result.W.total_committed;
+  checki "same aborted" a.E.result.W.total_aborted b.E.result.W.total_aborted;
+  Alcotest.(check (float 1e-9)) "same notpm" a.E.result.W.notpm b.E.result.W.notpm;
+  Alcotest.(check (float 1e-9)) "same run write MB" a.E.run_write_mb b.E.run_write_mb;
+  Alcotest.(check (float 1e-9)) "same run read MB" a.E.run_read_mb b.E.run_read_mb;
+  checki "same write count" a.E.run_write_count b.E.run_write_count;
+  checki "same read count" a.E.run_read_count b.E.run_read_count;
+  check "same buffer stats" true (a.E.buf_stats = b.E.buf_stats)
 
 let test_multicore_tpcc_deterministic_per_shard () =
-  let a = MC.run (quick_mc ~engine:"si" ~domains:2 ~seed:21) in
-  let b = MC.run (quick_mc ~engine:"si" ~domains:2 ~seed:21) in
+  let s = quick_setup ~engine:"si" ~seed:21 in
+  let a = E.run_sharded ~domains:2 s and b = E.run_sharded ~domains:2 s in
   Array.iteri
-    (fun i sa ->
-      let sb = b.MC.shards.(i) in
-      checki "same committed" sa.MC.result.W.total_committed
-        sb.MC.result.W.total_committed;
-      checki "same aborted" sa.MC.result.W.total_aborted
-        sb.MC.result.W.total_aborted;
-      Alcotest.(check (float 1e-9))
-        "same notpm" sa.MC.result.W.notpm sb.MC.result.W.notpm)
-    a.MC.shards;
+    (fun i (oa : E.output) ->
+      let ob = b.E.shards.(i) in
+      checki "same committed" oa.result.W.total_committed ob.result.W.total_committed;
+      checki "same aborted" oa.result.W.total_aborted ob.result.W.total_aborted;
+      Alcotest.(check (float 1e-9)) "same notpm" oa.result.W.notpm ob.result.W.notpm)
+    a.E.shards;
   (* the two shards run distinct seed-derived streams, so their shard
      results should not be mirror images of each other *)
+  let r0 = a.E.shards.(0).E.result and r1 = a.E.shards.(1).E.result in
   check "shards run distinct workload streams" true
-    (a.MC.shards.(0).MC.result.W.total_committed
-     <> a.MC.shards.(1).MC.result.W.total_committed
-    || a.MC.shards.(0).MC.result.W.notpm <> a.MC.shards.(1).MC.result.W.notpm)
+    (r0.W.total_committed <> r1.W.total_committed || r0.W.notpm <> r1.W.notpm)
+
+(* Every run flag applies per shard: the t1 bgwriter, the paged index and
+   seeded faults, each shard under its own seeds. *)
+let test_multicore_run_flags_per_shard () =
+  let s =
+    {
+      (quick_setup ~engine:"sias-v" ~seed:5) with
+      E.flush = E.T1;
+      index = "paged";
+      fault_seed = Some 11;
+    }
+  in
+  let r = E.run_sharded ~domains:2 s in
+  checki "checker clean" 0 r.E.violations;
+  check "every shard committed work" true
+    (Array.for_all (fun o -> o.E.result.W.total_committed > 0) r.E.shards);
+  let a = r.E.shards.(0).E.setup and b = r.E.shards.(1).E.setup in
+  check "shard 0 runs the setup" true (a = s);
+  check "seeds differ" true (a.E.seed <> b.E.seed);
+  check "fault seeds differ" true
+    (b.E.fault_seed <> None && a.E.fault_seed <> b.E.fault_seed);
+  check "replication seeds differ" true (a.E.repl_seed <> b.E.repl_seed);
+  check "backoff seeds differ" true
+    (a.E.contention.Sias_txn.Contention.seed <> b.E.contention.Sias_txn.Contention.seed)
 
 let qcheck_multicore_torture =
   QCheck.Test.make ~name:"multicore tpcc: checker stays clean across configs"
@@ -250,10 +266,9 @@ let qcheck_multicore_torture =
     QCheck.(pair (int_range 1 3) (int_range 0 1000))
     (fun (domains, seed) ->
       let engine = List.nth [ "si"; "sias"; "sias-v" ] (seed mod 3) in
-      let cfg = quick_mc ~engine ~domains ~seed in
-      let cfg = { cfg with MC.base = { cfg.MC.base with W.duration_s = 4.0 } } in
-      let r = MC.run cfg in
-      r.MC.violations = 0 && Array.length r.MC.shards = domains)
+      let s = { (quick_setup ~engine ~seed) with E.duration_s = 4.0 } in
+      let r = E.run_sharded ~domains s in
+      r.E.violations = 0 && Array.length r.E.shards = domains)
 
 let suite =
   [
@@ -275,5 +290,7 @@ let suite =
       test_multicore_shard_equals_single_domain;
     Alcotest.test_case "tpcc: per-shard determinism" `Slow
       test_multicore_tpcc_deterministic_per_shard;
+    Alcotest.test_case "tpcc: run flags apply per shard, own seeds" `Slow
+      test_multicore_run_flags_per_shard;
     QCheck_alcotest.to_alcotest qcheck_multicore_torture;
   ]
